@@ -2,24 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Instance, Solution, make_solution
-
-
-@dataclass
-class GreedyTrace:
-    """Per-row decision record of one greedy run.
-
-    `order` is the processing permutation (rows sorted by descending
-    potential c_i + sum_j max(q_ij, 0), stable on ties) and `decisions`
-    holds one (keep_value, take_value, chosen_bit) triple per processed row.
-    """
-
-    order: np.ndarray
-    decisions: list[tuple[int, int, int]]
+from .core import Instance, RowState, Solution, make_solution
 
 
 def trivial_solution(instance: Instance) -> Solution:
@@ -40,36 +25,18 @@ def random_solution(instance: Instance, p: float, rng: np.random.Generator) -> S
     return make_solution(instance, x, y)
 
 
-def greedy_trace(instance: Instance) -> tuple[Solution, GreedyTrace]:
-    """Greedy construction, returning the solution together with its trace.
+def greedy(instance: Instance) -> Solution:
+    """Greedy construction from the all-zero rows.
 
     Rows are processed in descending order of the potential
     w+_i = c_i + sum_j max(q_ij, 0) (stable tie-break by original index).
-    At each row the value of switching the row on, with all later rows off
-    and columns re-optimized, is compared against keeping it off; the row
-    is taken only on strict improvement.  Runs in O(mn).
+    Each row is switched on only if that strictly improves f(x, y(x)),
+    the value with all later rows off and the columns re-optimized.
+    Runs in O(mn).
     """
-    Q, c, d = instance.Q, instance.c, instance.d
-    w_plus = c + np.maximum(Q, 0).sum(axis=1)
-    order = np.argsort(-w_plus, kind="stable")
-
-    x = np.zeros(instance.m, dtype=np.int8)
-    s = d.copy()
-    decisions: list[tuple[int, int, int]] = []
-    for i in order:
-        f0 = int(np.maximum(s, 0).sum())
-        f1 = int(c[i]) + int(np.maximum(s + Q[i], 0).sum())
-        if f0 >= f1:
-            decisions.append((f0, f1, 0))
-        else:
-            x[i] = 1
-            s += Q[i]
-            decisions.append((f0, f1, 1))
-    y = (s > 0).astype(np.int8)
-    return make_solution(instance, x, y), GreedyTrace(order=order, decisions=decisions)
-
-
-def greedy(instance: Instance) -> Solution:
-    """Greedy construction; see `greedy_trace` for the full decision record."""
-    solution, _ = greedy_trace(instance)
-    return solution
+    w_plus = instance.c + np.maximum(instance.Q, 0).sum(axis=1)
+    st = RowState(instance, np.zeros(instance.m, dtype=np.int8))
+    for i in np.argsort(-w_plus, kind="stable"):
+        if st.flip_value(i) > st.value:
+            st.flip(i)
+    return st.solution()

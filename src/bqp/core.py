@@ -125,19 +125,6 @@ class Solution:
         return f"Solution(objective={self.objective}, on={int(self.x.sum())}+{int(self.y.sum())})"
 
 
-@dataclass
-class IncrementalState:
-    """Column sums s_j = d_j + sum_i q_ij x_i and row sums w_i = c_i + sum_j q_ij y_j.
-
-    Flipping one x-bit costs O(n) and one y-bit O(m); the cached solution
-    objective is adjusted from the same arrays, so long flip sequences never
-    re-evaluate from scratch.
-    """
-
-    s: np.ndarray
-    w: np.ndarray
-
-
 def _as_bits(v, length: int, label: str) -> np.ndarray:
     raw = np.asarray(v)
     if raw.size and raw.dtype.kind in "fc":
@@ -181,48 +168,69 @@ def optimal_x_given_y(instance: Instance, y) -> np.ndarray:
     return (w > 0).astype(np.int8)
 
 
-def init_state(instance: Instance, solution: Solution) -> IncrementalState:
-    """Compute the column/row sum arrays for the given solution from scratch."""
-    x = solution.x.astype(np.int64)
-    y = solution.y.astype(np.int64)
-    return IncrementalState(
-        s=instance.d + instance.Q.T @ x,
-        w=instance.c + instance.Q @ y,
-    )
+class RowState:
+    """Row assignment x with its column sums and value, columns left implicit.
 
-
-def flip_x(instance: Instance, state: IncrementalState, solution: Solution, i: int) -> None:
-    """Toggle x_i in place, updating s and the cached objective in O(n).
-
-    The objective delta is +-w_i taken before the flip; w itself does not
-    depend on x and stays untouched.
+    Keeps s_j = d_j + sum_i q_ij x_i, the row cost cx = c x and the value
+    f(x, y(x)) = cx + sum_j max(s_j, 0) of x with the closed-form optimal
+    columns y_j = [s_j > 0].  Every row-side search scores its moves
+    through this state: complementing one row costs O(n), a set of k rows
+    O(kn).  The state owns a private copy of x.
     """
-    if not 0 <= i < instance.m:
-        raise IndexError(f"row index {i} out of range for m={instance.m}")
-    wi = int(state.w[i])
-    if solution.x[i] == 0:
-        solution.x[i] = 1
-        state.s += instance.Q[i]
-        solution.objective += wi
-    else:
-        solution.x[i] = 0
-        state.s -= instance.Q[i]
-        solution.objective -= wi
 
+    __slots__ = ("inst", "x", "s", "cx", "value")
 
-def flip_y(instance: Instance, state: IncrementalState, solution: Solution, j: int) -> None:
-    """Toggle y_j in place, updating w and the cached objective in O(m)."""
-    if not 0 <= j < instance.n:
-        raise IndexError(f"column index {j} out of range for n={instance.n}")
-    sj = int(state.s[j])
-    if solution.y[j] == 0:
-        solution.y[j] = 1
-        state.w += instance.Q[:, j]
-        solution.objective += sj
-    else:
-        solution.y[j] = 0
-        state.w -= instance.Q[:, j]
-        solution.objective -= sj
+    def __init__(self, inst: Instance, x):
+        self.inst = inst
+        self.x = _as_bits(x, inst.m, "x")
+        xl = self.x.astype(np.int64)
+        self.s = inst.d + inst.Q.T @ xl
+        self.cx = int(inst.c @ xl)
+        self.value = self.cx + int(np.maximum(self.s, 0).sum())
+
+    def flip_value(self, i: int) -> int:
+        """Value after complementing row i (state unchanged)."""
+        q = self.inst.Q[i]
+        if self.x[i]:
+            return self.cx - int(self.inst.c[i]) + int(np.maximum(self.s - q, 0).sum())
+        return self.cx + int(self.inst.c[i]) + int(np.maximum(self.s + q, 0).sum())
+
+    def flip(self, i: int) -> None:
+        """Complement row i."""
+        q = self.inst.Q[i]
+        if self.x[i]:
+            self.s -= q
+            self.cx -= int(self.inst.c[i])
+        else:
+            self.s += q
+            self.cx += int(self.inst.c[i])
+        self.x[i] ^= 1
+        self.value = self.cx + int(np.maximum(self.s, 0).sum())
+
+    def complement_value(self, rows: np.ndarray) -> int:
+        """Value after complementing x on `rows` (state unchanged)."""
+        signs = (1 - 2 * self.x[rows]).astype(np.int64)
+        s2 = self.s + signs @ self.inst.Q[rows]
+        return self.cx + int(signs @ self.inst.c[rows]) + int(np.maximum(s2, 0).sum())
+
+    def complement(self, rows: np.ndarray) -> None:
+        """Complement x on `rows`."""
+        signs = (1 - 2 * self.x[rows]).astype(np.int64)
+        self.s += signs @ self.inst.Q[rows]
+        self.cx += int(signs @ self.inst.c[rows])
+        self.x[rows] ^= 1
+        self.value = self.cx + int(np.maximum(self.s, 0).sum())
+
+    def set_rows(self, rows: np.ndarray, bits: np.ndarray) -> None:
+        """Assign `bits` to `rows`, complementing only the rows that change."""
+        changed = rows[self.x[rows] != bits]
+        if changed.size:
+            self.complement(changed)
+
+    def solution(self) -> Solution:
+        """The row assignment with its closed-form optimal columns."""
+        y = (self.s > 0).astype(np.int8)
+        return Solution(self.x.copy(), y, self.value)
 
 
 def expected_random_objective(instance: Instance, p_x: float = 0.5, p_y: float = 0.5) -> float:

@@ -2,11 +2,10 @@
 
 `enumerate_exact` walks the 2^m row assignments in Gray-code order,
 updating the column sums by one row flip per step and re-optimizing the
-column side in closed form, for O(n 2^m) total work.  `brute_force_oracle`
-enumerates both sides in natural binary order and shares no code with the
-Gray walk; it exists purely to cross-check the enumerator and the
-heuristics.  The exporters emit the linearized MIP (LP text format) and
-the (m+n)-variable unconstrained quadratic reformulation (sparse triples).
+column side in closed form, for O(n 2^m) total work.  The test suite
+cross-checks it against an independent brute-force oracle over both
+sides.  The exporters emit the linearized MIP (LP text format) and the
+(m+n)-variable unconstrained quadratic reformulation (sparse triples).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import numpy as np
 from .core import Instance, Solution, make_solution, optimal_y_given_x
 
 ENUMERATION_ROW_LIMIT = 30
-ORACLE_BIT_LIMIT = 24
 
 
 def enumerate_exact(instance: Instance, block: int = 4096) -> Solution:
@@ -65,45 +63,6 @@ def enumerate_exact(instance: Instance, block: int = 4096) -> Solution:
     solution = make_solution(instance, x, y)
     assert solution.objective == best_val
     return solution
-
-
-def _bit_rows(indices: np.ndarray, width: int) -> np.ndarray:
-    return ((indices[:, None] >> np.arange(width)[None, :]) & 1).astype(np.int64)
-
-
-def brute_force_oracle(instance: Instance) -> Solution:
-    """Optimum by full enumeration of all 2^(m+n) assignments.
-
-    Natural binary order on both sides, row side outermost; independent of
-    the Gray-code enumerator by construction.
-    """
-    m, n = instance.m, instance.n
-    if m + n > ORACLE_BIT_LIMIT:
-        raise ValueError(f"m+n={m + n} exceeds the oracle guard of {ORACLE_BIT_LIMIT} bits")
-    Q, c, d = instance.Q, instance.c, instance.d
-
-    # Under the bit guard at most one side needs chunking, so building the
-    # inner side's bit blocks lazily costs no repeated work and keeps the
-    # footprint at one block per side.
-    best_val = None
-    best_x = best_y = None
-    x_chunk = 1 << min(m, 12)
-    y_chunk = 1 << min(n, 12)
-    for t0 in range(0, 1 << m, x_chunk):
-        idx = np.arange(t0, min(t0 + x_chunk, 1 << m), dtype=np.int64)
-        xb = _bit_rows(idx, m)
-        xq = xb @ Q
-        xc = xb @ c
-        for u0 in range(0, 1 << n, y_chunk):
-            udx = np.arange(u0, min(u0 + y_chunk, 1 << n), dtype=np.int64)
-            yb = _bit_rows(udx, n)
-            F = xq @ yb.T + xc[:, None] + (yb @ d)[None, :]
-            i, j = np.unravel_index(int(np.argmax(F)), F.shape)
-            if best_val is None or int(F[i, j]) > best_val:
-                best_val = int(F[i, j])
-                best_x = xb[i].astype(np.int8)
-                best_y = yb[j].astype(np.int8)
-    return Solution(best_x, best_y, best_val)
 
 
 def _lp_terms(pairs, per_line: int = 8) -> list[str]:

@@ -1,10 +1,12 @@
 """Improvement procedures over the row side: alternating, flip, portions.
 
-All searches in this module keep the column assignment implicit: a row
-assignment x is scored as f(x, y(x)) through the maintained column sums,
-so candidate moves cost O(n) per touched row instead of a full
-re-evaluation.  Pure y-moves are never explored by the flip and portions
-searches; the final solution re-optimizes the columns in closed form.
+The flip, portions and restriction searches keep the column assignment
+implicit: a row assignment x is scored as f(x, y(x)) through the column
+sums maintained by `core.RowState`, so candidate moves cost O(n) per
+touched row instead of a full re-evaluation.  Pure y-moves are never
+explored by these searches; the final solution re-optimizes the columns
+in closed form.  `alternating` moves both sides, keeps ties at the
+current bit and maintains its own row and column sums.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .core import Instance, Solution, make_solution
+from .core import Instance, RowState, Solution
 from .exact import enumerate_exact
 
 RESTRICTION_ROW_LIMIT = 20  # restricted problems are solved by 2^k enumeration
@@ -69,84 +71,7 @@ class _Clock:
         return True
 
 
-@dataclass
-class RestrictedReduction:
-    """Reduction of the problem with all rows outside `free_rows` frozen.
-
-    The reduced instance keeps the free rows (in `free_rows` order) and
-    absorbs the frozen rows into its column weights.  Expanding a reduced
-    assignment and evaluating it under the original instance yields the
-    reduced objective plus `offset`, the frozen rows' linear cost.
-    """
-
-    free_rows: np.ndarray
-    reduced: Instance
-    x0: np.ndarray
-    offset: int
-
-    def expand(self, x_star, y_star) -> tuple[np.ndarray, np.ndarray]:
-        x = self.x0.copy()
-        x[self.free_rows] = np.asarray(x_star, dtype=np.int8)
-        return x, np.asarray(y_star, dtype=np.int8)
-
-
-def reduce_restricted(instance: Instance, free_rows, x0) -> RestrictedReduction:
-    """Build the reduced instance for the sub-problem free on `free_rows`."""
-    free = np.asarray(free_rows, dtype=np.int64)
-    if free.size == 0:
-        raise ValueError("free row set must be nonempty")
-    if free.min() < 0 or free.max() >= instance.m or len(set(free.tolist())) != free.size:
-        raise ValueError("free rows must be distinct valid row indices")
-    x0 = np.asarray(x0, dtype=np.int8)
-    if x0.shape != (instance.m,):
-        raise ValueError(f"x0 must have length {instance.m}")
-
-    frozen = np.ones(instance.m, dtype=bool)
-    frozen[free] = False
-    xf = (x0 * frozen).astype(np.int64)
-    d_star = instance.d + instance.Q.T @ xf
-    offset = int(instance.c @ xf)
-    reduced = Instance(instance.Q[free], instance.c[free], d_star)
-    return RestrictedReduction(free_rows=free, reduced=reduced, x0=x0.copy(), offset=offset)
-
-
-class _RowSearchState:
-    """Row assignment plus maintained column sums and value f(x, y(x))."""
-
-    __slots__ = ("inst", "x", "s", "cx", "value")
-
-    def __init__(self, inst: Instance, x: np.ndarray):
-        self.inst = inst
-        self.x = np.asarray(x, dtype=np.int8).copy()
-        xl = self.x.astype(np.int64)
-        self.s = inst.d + inst.Q.T @ xl
-        self.cx = int(inst.c @ xl)
-        self.value = self.cx + int(np.maximum(self.s, 0).sum())
-
-    def complement_value(self, rows: np.ndarray) -> int:
-        """Value after complementing x on `rows` (state unchanged)."""
-        signs = (1 - 2 * self.x[rows]).astype(np.int64)
-        s2 = self.s + signs @ self.inst.Q[rows]
-        return self.cx + int(signs @ self.inst.c[rows]) + int(np.maximum(s2, 0).sum())
-
-    def complement(self, rows: np.ndarray) -> None:
-        signs = (1 - 2 * self.x[rows]).astype(np.int64)
-        self.s += signs @ self.inst.Q[rows]
-        self.cx += int(signs @ self.inst.c[rows])
-        self.x[rows] ^= 1
-        self.value = self.cx + int(np.maximum(self.s, 0).sum())
-
-    def set_rows(self, rows: np.ndarray, bits: np.ndarray) -> None:
-        changed = rows[self.x[rows] != bits]
-        if changed.size:
-            self.complement(changed)
-
-    def solution(self) -> Solution:
-        y = (self.s > 0).astype(np.int8)
-        return Solution(self.x.copy(), y, self.value)
-
-
-def _first_improving_flip(st: _RowSearchState, pos: int) -> tuple[int, int] | None:
+def _first_improving_flip(st: RowState, pos: int) -> int | None:
     """First single-row complement improving on st.value, scanning
     circularly from `pos`; evaluated in chunks for speed."""
     inst = st.inst
@@ -160,23 +85,21 @@ def _first_improving_flip(st: _RowSearchState, pos: int) -> tuple[int, int] | No
         vals = st.cx + signs * inst.c[rows] + np.maximum(S, 0).sum(axis=1)
         better = np.flatnonzero(vals > st.value)
         if better.size:
-            b = int(better[0])
-            return int(rows[b]), int(vals[b])
+            return int(rows[better[0]])
     return None
 
 
-def _flip_descent(st: _RowSearchState) -> bool:
+def _flip_descent(st: RowState) -> bool:
     """First-improvement single-row flips with circular scan; the miss
     counter resets on every improvement and the scan continues from the
     accepted row.  Returns True if anything improved."""
     improved = False
     pos = 0
     while True:
-        hit = _first_improving_flip(st, pos)
-        if hit is None:
+        row = _first_improving_flip(st, pos)
+        if row is None:
             return improved
-        row, _ = hit
-        st.complement(np.array([row]))
+        st.flip(row)
         pos = (row + 1) % st.inst.m
         improved = True
 
@@ -187,12 +110,12 @@ def flip_search(instance: Instance, solution: Solution) -> Solution:
     Stops when no row complement improves f(x, y(x)); the returned solution
     carries the closed-form optimal columns for its rows.
     """
-    st = _RowSearchState(instance, solution.x)
+    st = RowState(instance, solution.x)
     _flip_descent(st)
     return st.solution()
 
 
-def _portion_level(st: _RowSearchState, p: int) -> bool:
+def _portion_level(st: RowState, p: int) -> bool:
     """One full first-improvement cycle over all size-p row subsets in
     lexicographic order, wrapping until C(m, p) consecutive misses."""
     if p == 1:
@@ -229,7 +152,7 @@ def exhaustive_portions(instance: Instance, solution: Solution, k: int) -> Solut
     """
     if not 1 <= k <= instance.m:
         raise ValueError(f"k must lie in [1, {instance.m}], got {k}")
-    st = _RowSearchState(instance, solution.x)
+    st = RowState(instance, solution.x)
     restart = True
     while restart:
         restart = False
@@ -241,12 +164,13 @@ def exhaustive_portions(instance: Instance, solution: Solution, k: int) -> Solut
     return st.solution()
 
 
-def _solve_restriction(inst: Instance, st: _RowSearchState, free: np.ndarray) -> tuple[int, np.ndarray]:
+def _solve_restriction(st: RowState, free: np.ndarray) -> tuple[int, np.ndarray]:
     """Exact optimum of the problem with only `free` rows unfrozen.
 
     Returns (total objective, optimal bits for the free rows).  Uses the
     maintained column sums, so building the reduction costs O(kn).
     """
+    inst = st.inst
     xf = st.x[free].astype(np.int64)
     d_star = st.s - xf @ inst.Q[free]
     reduced = Instance(inst.Q[free], inst.c[free], d_star)
@@ -271,11 +195,11 @@ def random_portions(
         raise ValueError(
             f"k must lie in [2, {min(instance.m, RESTRICTION_ROW_LIMIT)}], got {k}"
         )
-    st = _RowSearchState(instance, solution.x)
+    st = RowState(instance, solution.x)
     clock = budget.start()
     while clock.tick():
         free = np.sort(rng.permutation(instance.m)[:k])
-        _, bits = _solve_restriction(instance, st, free)
+        _, bits = _solve_restriction(st, free)
         st.set_rows(free, bits.astype(np.int8))
     return st.solution()
 

@@ -6,9 +6,8 @@ choice is driven by a co-occurrence graph over pooled solutions: the
 weight of a row pair counts how many solutions agree on it, a cluster is
 scored by its size times its lightest internal edge, and a greedy
 agglomerative pass maximizes the total score.  The greedy partitioner
-comes in two forms with identical output: a bucket-queue version used in
-production and a literal recompute-everything version kept as a test
-oracle.
+keeps its merge scores in a bucket queue; the test suite checks it
+against a literal recompute-everything version of the same greedy rule.
 """
 
 from __future__ import annotations
@@ -131,13 +130,14 @@ def partition_weight(graph: CooccurrenceGraph, partition: RowPartition) -> int:
 
 
 class _GreedyMerger:
-    """Bucket-queue agglomerative merging shared by the fast partitioner.
+    """Bucket-queue agglomerative merging behind both greedy partitioners.
 
     Pairs live in buckets indexed by their merge score delta(P, Q) =
     w(P u Q) - w(P) - w(Q), which lies in [-pm, 0]; each step pops the
     lexicographically smallest pair from the highest nonempty bucket and
-    repairs the affected pair entries with the min-merge recurrence.  Both
-    the pop and the repair touch O(m) entries, so a full run is O(m^2).
+    repairs the affected pair entries with the min-merge recurrence.  The
+    repair touches O(m) entries, but the pop scans the whole top bucket,
+    which can hold O(m^2) pairs, so a full run costs up to O(m^3).
     """
 
     def __init__(self, graph: CooccurrenceGraph):
@@ -197,7 +197,7 @@ def greedy_partition(graph: CooccurrenceGraph, k: int) -> RowPartition:
     """Merge singletons greedily by merge score until k clusters remain.
 
     Ties prefer the pair of clusters whose smallest rows compare
-    lexicographically smallest, matching the literal reference version.
+    lexicographically smallest.
     """
     if not 1 <= k <= graph.m:
         raise ValueError(f"k must lie in [1, {graph.m}], got {k}")
@@ -217,52 +217,6 @@ def greedy_partition_levels(graph: CooccurrenceGraph, k_min: int = 1) -> dict[in
     for k in range(graph.m - 1, k_min - 1, -1):
         merger.step()
         levels[k] = merger.partition()
-    return levels
-
-
-def greedy_partition_reference(graph: CooccurrenceGraph, k: int) -> RowPartition:
-    """Literal per-step recomputation form of `greedy_partition`.
-
-    Every candidate merge rescans the graph for its cluster scores instead
-    of maintaining anything incrementally; quintic in m and kept only as an
-    independent oracle for the bucket-queue version.
-    """
-    if not 1 <= k <= graph.m:
-        raise ValueError(f"k must lie in [1, {graph.m}], got {k}")
-    levels = greedy_partition_reference_levels(graph, k)
-    return levels[k]
-
-
-def greedy_partition_reference_levels(
-    graph: CooccurrenceGraph, k_min: int = 1
-) -> dict[int, RowPartition]:
-    if not 1 <= k_min <= graph.m:
-        raise ValueError(f"k_min must lie in [1, {graph.m}], got {k_min}")
-    W = graph.weights
-    clusters: list[np.ndarray] = [np.array([i], dtype=np.int64) for i in range(graph.m)]
-    levels = {graph.m: RowPartition([c.copy() for c in clusters])}
-    while len(clusters) > k_min:
-        clusters.sort(key=lambda c: int(c[0]))
-        # fresh per-step stats; nothing survives between steps
-        mus = [_mu_scratch(graph, c) for c in clusters]
-        best = None
-        best_pair = None
-        for ai in range(len(clusters)):
-            ca = clusters[ai]
-            wa = ca.size * mus[ai]
-            for bi in range(ai + 1, len(clusters)):
-                cb = clusters[bi]
-                cross = int(W[np.ix_(ca, cb)].min())
-                mu_union = min(mus[ai], mus[bi], cross)
-                score = (ca.size + cb.size) * mu_union - wa - cb.size * mus[bi]
-                if best is None or score > best:
-                    best = score
-                    best_pair = (ai, bi)
-        ai, bi = best_pair
-        merged = np.sort(np.concatenate([clusters[ai], clusters[bi]]))
-        clusters = [c for idx, c in enumerate(clusters) if idx not in (ai, bi)]
-        clusters.append(merged)
-        levels[len(clusters)] = RowPartition([c.copy() for c in clusters])
     return levels
 
 

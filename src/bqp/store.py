@@ -132,13 +132,3 @@ class BestKnownStore:
                 fcntl.flock(fh, fcntl.LOCK_UN)
         return True
 
-
-def update_best_known(
-    store: BestKnownStore,
-    instance: Instance,
-    solution: Solution,
-    algorithm: str = "",
-    seed: int | None = None,
-) -> bool:
-    """Functional alias for `BestKnownStore.update`."""
-    return store.update(instance, solution, algorithm=algorithm, seed=seed)

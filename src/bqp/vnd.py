@@ -8,10 +8,9 @@ from typing import Callable
 import numpy as np
 
 from .construct import greedy, random_solution
-from .core import Instance, Solution
+from .core import Instance, RowState, Solution
 from .localsearch import (
     Budget,
-    _RowSearchState,
     _solve_restriction,
     alternating,
     exhaustive_portions,
@@ -29,7 +28,6 @@ class MultiStartRecord:
 
     iterations: int
     best: Solution
-    objective_log: list[int] | None = None
 
     @property
     def best_objective(self) -> int:
@@ -40,17 +38,14 @@ def vnd(
     instance: Instance,
     p_max: int = DEFAULT_PORTION_CAP,
     rng: np.random.Generator | None = None,
-    restart_on_improvement: bool = False,
 ) -> Solution:
     """Variable neighborhood descent from a greedy start.
 
     Each round runs the alternating and flip searches; if flip improved,
     the round restarts.  Otherwise, for every portion size k = 2..p_max and
     every row, a random k-row set containing that row is freed and solved
-    exactly.  By default improvements during the portion sweep are recorded
-    and the sweep completes before restarting; `restart_on_improvement`
-    restarts immediately instead (kept as an option, it did not help in
-    practice).
+    exactly.  Improvements during the portion sweep are recorded and the
+    sweep completes before restarting.
 
     Escalating the portion size genuinely widens the search: the chance
     that a random size-p subset lands inside the region covered by the
@@ -73,20 +68,16 @@ def vnd(
             lam = True
             continue
         sol = improved_sol
-        st = _RowSearchState(instance, sol.x)
+        st = RowState(instance, sol.x)
         for k in range(2, min(p_max, m) + 1):
             for ell in range(m):
                 others = rng.permutation(m - 1)[: k - 1]
                 others = others + (others >= ell)  # skip ell, keep uniformity
                 free = np.sort(np.append(others, ell))
-                total, bits = _solve_restriction(instance, st, free)
+                total, bits = _solve_restriction(st, free)
                 if total > st.value:
                     st.set_rows(free, bits.astype(np.int8))
                     lam = True
-                    if restart_on_improvement:
-                        break
-            if restart_on_improvement and lam:
-                break
         sol = st.solution()
     return sol
 
@@ -113,7 +104,6 @@ def multi_start(
     budget: Budget,
     rng: np.random.Generator,
     p: float = 0.5,
-    keep_log: bool = False,
 ) -> MultiStartRecord:
     """Improve independent random solutions and keep the best result.
 
@@ -124,7 +114,6 @@ def multi_start(
     """
     clock = budget.start()
     best: Solution | None = None
-    log: list[int] | None = [] if keep_log else None
     iterations = 0
     while clock.tick():
         child = rng.spawn(1)[0]
@@ -133,8 +122,6 @@ def multi_start(
         iterations += 1
         if best is None or sol.objective > best.objective:
             best = sol
-        if log is not None:
-            log.append(sol.objective)
     if best is None:
         raise ValueError("budget allowed no iterations")
-    return MultiStartRecord(iterations=iterations, best=best, objective_log=log)
+    return MultiStartRecord(iterations=iterations, best=best)

@@ -10,9 +10,14 @@ import bqp
 from bqp import Budget
 from bqp.cli import gap
 
-from conftest import random_instance, tight_family
+from instances import random_instance, tight_family
 from test_exact import parse_qubo
-from verifiers import fast_assert_alternating_optimal, fast_assert_portions_optimal
+from verifiers import (
+    brute_force_oracle,
+    fast_assert_alternating_optimal,
+    fast_assert_portions_optimal,
+    greedy_partition_reference_levels,
+)
 
 
 def report(number: int, label: str, elapsed: float, limit: float) -> None:
@@ -29,7 +34,7 @@ def test_01_oracle_equivalence():
             n = int(size_rng.integers(1, 11))
             inst = bqp.generate_instance(family, m, n, seed=s)
             fast = bqp.enumerate_exact(inst).objective
-            slow = bqp.brute_force_oracle(inst).objective
+            slow = brute_force_oracle(inst).objective
             assert fast == slow, f"{family} seed {s} ({m}x{n}): {fast} != {slow}"
     report(1, "enumerate_exact == brute_force_oracle on 500/family", time.perf_counter() - t0, 60)
 
@@ -125,7 +130,7 @@ def test_07_partitioner_equivalence():
         np.fill_diagonal(W, 0)
         graph = bqp.CooccurrenceGraph(weights=W, p=p)
         fast = bqp.greedy_partition_levels(graph)
-        slow = bqp.greedy_partition_reference_levels(graph)
+        slow = greedy_partition_reference_levels(graph)
         for k in range(1, m + 1):
             assert fast[k] == slow[k], f"m={m} level {k} differs"
     report(7, "bucketed == literal partitioner on 500 graphs, all k", time.perf_counter() - t0, 60)
@@ -137,24 +142,29 @@ def test_08_incremental_state_soundness():
     checkpoints = 0
     for _ in range(100):
         inst = random_instance(rng, int(rng.integers(2, 31)), int(rng.integers(2, 31)))
-        sol = bqp.random_solution(inst, 0.5, rng)
-        state = bqp.init_state(inst, sol)
-        x_flips = rng.integers(0, inst.m, size=10_000)
-        y_flips = rng.integers(0, inst.n, size=10_000)
-        pick_x = rng.random(10_000) < 0.5
+        state = bqp.RowState(inst, bqp.random_solution(inst, 0.5, rng).x)
+        flips = rng.integers(0, inst.m, size=10_000)
+        pick_flip = rng.random(10_000) < 0.5
+        # complement moves: 1 to 4 distinct rows, the prefix of a random permutation
+        perms = np.argsort(rng.random((10_000, inst.m)), axis=1)
+        sizes = rng.integers(1, min(inst.m, 4) + 1, size=10_000)
         for t in range(10_000):
-            if pick_x[t]:
-                bqp.flip_x(inst, state, sol, int(x_flips[t]))
+            if pick_flip[t]:
+                state.flip(int(flips[t]))
             else:
-                bqp.flip_y(inst, state, sol, int(y_flips[t]))
+                state.complement(perms[t, : sizes[t]])
             if (t + 1) % 1000 == 0:
-                fresh = bqp.init_state(inst, sol)
-                assert np.array_equal(state.s, fresh.s)
-                assert np.array_equal(state.w, fresh.w)
-                assert sol.objective == bqp.evaluate(inst, sol.x, sol.y)
+                # recompute from x alone, sharing nothing with the state
+                x = state.x.astype(np.int64)
+                s = inst.d + inst.Q.T @ x
+                cx = int(inst.c @ x)
+                assert np.array_equal(state.s, s)
+                assert state.cx == cx
+                assert state.value == cx + int(s[s > 0].sum())
+                assert state.value == bqp.evaluate(inst, state.x, state.s > 0)
                 checkpoints += 1
     assert checkpoints == 1000
-    report(8, "10^6 flips, 1000 scratch checkpoints", time.perf_counter() - t0, 60)
+    report(8, "10^6 flip/complement moves, 1000 scratch checkpoints", time.perf_counter() - t0, 60)
 
 
 def test_09_expected_random_objective():

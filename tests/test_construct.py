@@ -5,9 +5,9 @@ from hypothesis import given
 import bqp
 from bqp import Instance
 
-from conftest import random_instance, tight_family
+from instances import random_instance, tight_family
 from test_core import small_instances
-from verifiers import exhaustive_optimum
+from verifiers import exhaustive_optimum, reference_greedy
 
 
 class TestTrivial:
@@ -47,22 +47,22 @@ class TestRandomSolution:
 class TestGreedy:
     def test_tight_family_trace(self):
         inst = tight_family(3)
-        sol, trace = bqp.greedy_trace(inst)
+        sol = bqp.greedy(inst)
         assert sol.objective == 1
         assert sol.x.tolist() == [1, 0, 0]
         assert sol.y.tolist() == [1, 0, 0]
         # all potentials tie at 1, so the stable order keeps row 0 first
-        assert trace.order.tolist() == [0, 1, 2]
-        assert trace.decisions[0][2] == 1
+        _, _, decisions = reference_greedy(inst)
+        assert [row for row, *_ in decisions] == [0, 1, 2]
+        assert decisions[0][3] == 1
 
     def test_worked_example_trace(self, e1):
-        sol, trace = bqp.greedy_trace(e1)
+        sol = bqp.greedy(e1)
         assert sol.objective == 2
         assert sol.x.tolist() == [1, 0]
         assert sol.y.tolist() == [1, 0]
-        # potentials (4, 3): row 0 taken (2 > 0), row 1 rejected (1 >= 1)
-        assert trace.order.tolist() == [0, 1]
-        assert trace.decisions == [(0, 2, 1), (1, 1, 0)]
+        # potentials (4, 3): row 0 taken (2 > 0), row 1 rejected (2 >= 2)
+        assert reference_greedy(e1) == ([1, 0], [1, 0], [(0, 0, 2, 1), (1, 2, 2, 0)])
 
     def test_all_nonpositive_gives_trivial(self):
         inst = Instance([[-1, 0], [0, -2]], [0, -1], [-1, 0])
@@ -71,11 +71,18 @@ class TestGreedy:
     def test_trace_order_is_sorted_by_potential(self):
         rng = np.random.default_rng(5)
         inst = random_instance(rng, 7, 5)
-        _, trace = bqp.greedy_trace(inst)
+        order = [row for row, *_ in reference_greedy(inst)[2]]
         w_plus = inst.c + np.maximum(inst.Q, 0).sum(axis=1)
-        ordered = w_plus[trace.order]
+        ordered = w_plus[order]
         assert all(ordered[i] >= ordered[i + 1] for i in range(len(ordered) - 1))
-        assert sorted(trace.order.tolist()) == list(range(inst.m))
+        assert sorted(order) == list(range(inst.m))
+
+    @given(small_instances(max_m=6, lo=-3, hi=3))
+    def test_matches_reference_greedy(self, inst):
+        # narrow weights make potential ties and zero-gain rows common
+        x, y, _ = reference_greedy(inst)
+        sol = bqp.greedy(inst)
+        assert (sol.x.tolist(), sol.y.tolist()) == (x, y)
 
     @given(small_instances())
     def test_objective_never_negative(self, inst):

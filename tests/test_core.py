@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 import bqp
 from bqp import DimensionError, Instance
 
-from conftest import random_instance
-from verifiers import best_value_for_x, naive_objective
+from instances import random_instance
+from verifiers import best_value_for_x, naive_objective, reoptimized_value
 
 
 def small_instances(max_m=4, max_n=4, lo=-20, hi=20):
@@ -125,67 +125,79 @@ class TestConditionalOptima:
 
 
 class TestIncrementalState:
+    """`RowState`: column sums s, row cost cx and value f(x, y(x))."""
+
     def test_init_state_worked_example(self, e1):
-        sol = bqp.make_solution(e1, (1, 0), (1, 0))
-        st_ = bqp.init_state(e1, sol)
+        st_ = bqp.RowState(e1, (1, 0))
         assert st_.s.tolist() == [1, -2]
-        assert st_.w.tolist() == [4, -2]
+        assert (st_.cx, st_.value) == (1, 2)
+        assert st_.solution() == bqp.make_solution(e1, (1, 0), (1, 0))
 
     def test_init_state_trivial(self, e1):
-        st_ = bqp.init_state(e1, bqp.trivial_solution(e1))
+        st_ = bqp.RowState(e1, (0, 0))
         assert st_.s.tolist() == e1.d.tolist()
-        assert st_.w.tolist() == e1.c.tolist()
+        assert (st_.cx, st_.value) == (0, 0)
 
     def test_init_state_all_ones_single_cell(self):
         inst = Instance([[5]], [2], [3])
-        st_ = bqp.init_state(inst, bqp.make_solution(inst, (1,), (1,)))
+        st_ = bqp.RowState(inst, (1,))
         assert st_.s.tolist() == [8]
-        assert st_.w.tolist() == [7]
+        assert (st_.cx, st_.value) == (2, 10)
 
     def test_flip_involution(self, e1):
-        sol = bqp.trivial_solution(e1)
-        st_ = bqp.init_state(e1, sol)
-        bqp.flip_x(e1, st_, sol, 0)
-        bqp.flip_x(e1, st_, sol, 0)
-        assert sol == bqp.trivial_solution(e1)
+        st_ = bqp.RowState(e1, (0, 0))
+        st_.flip(0)
+        st_.flip(0)
+        assert st_.x.tolist() == [0, 0]
         assert st_.s.tolist() == e1.d.tolist()
+        assert (st_.cx, st_.value) == (0, 0)
 
-    def test_flip_delta_is_row_sum(self, e1):
-        sol = bqp.trivial_solution(e1)
-        st_ = bqp.init_state(e1, sol)
-        bqp.flip_x(e1, st_, sol, 0)  # delta = w_1 = c_1 = 1
-        assert sol.objective == 1
+    def test_flip_delta_is_row_sum(self):
+        # every column sum stays positive, so the flip adds c_0 + sum_j q_0j
+        inst = Instance([[2, 3]], [1], [1, 1])
+        st_ = bqp.RowState(inst, (0,))
+        assert st_.value == 2
+        assert st_.flip_value(0) == 2 + 6
+        st_.flip(0)
+        assert st_.value == 8
 
     def test_flip_y_delta_is_column_sum(self, e1):
-        sol = bqp.make_solution(e1, (1, 1), (0, 0))
-        st_ = bqp.init_state(e1, sol)
-        before = sol.objective
-        sj = int(st_.s[1])
-        bqp.flip_y(e1, st_, sol, 1)
-        assert sol.objective == before + sj
+        # s_j is what flipping y_j is worth, so y(x) = [s > 0] is optimal
+        st_ = bqp.RowState(e1, (1, 1))
+        sol = st_.solution()
+        for j in range(e1.n):
+            y = sol.y.copy()
+            y[j] ^= 1
+            sign = 1 - 2 * int(sol.y[j])
+            assert bqp.evaluate(e1, sol.x, y) == sol.objective + sign * int(st_.s[j])
 
     def test_flip_index_out_of_range(self, e1):
-        sol = bqp.trivial_solution(e1)
-        st_ = bqp.init_state(e1, sol)
+        st_ = bqp.RowState(e1, (0, 0))
         with pytest.raises(IndexError):
-            bqp.flip_x(e1, st_, sol, 2)
+            st_.flip(2)
         with pytest.raises(IndexError):
-            bqp.flip_y(e1, st_, sol, -3)
+            st_.flip_value(-3)
+        with pytest.raises(DimensionError):
+            bqp.RowState(e1, (0, 0, 1))
 
     def test_long_flip_sequence_matches_scratch(self):
         rng = np.random.default_rng(7)
         inst = random_instance(rng, 8, 11)
-        sol = bqp.trivial_solution(inst)
-        st_ = bqp.init_state(inst, sol)
+        st_ = bqp.RowState(inst, np.zeros(inst.m, dtype=np.int8))
         for _ in range(1000):
             if rng.random() < 0.5:
-                bqp.flip_x(inst, st_, sol, int(rng.integers(inst.m)))
+                i = int(rng.integers(inst.m))
+                expected = st_.flip_value(i)
+                st_.flip(i)
             else:
-                bqp.flip_y(inst, st_, sol, int(rng.integers(inst.n)))
-        fresh = bqp.init_state(inst, sol)
+                rows = np.sort(rng.permutation(inst.m)[: int(rng.integers(1, 4))])
+                expected = st_.complement_value(rows)
+                st_.complement(rows)
+            assert st_.value == expected
+        fresh = bqp.RowState(inst, st_.x)
         assert st_.s.tolist() == fresh.s.tolist()
-        assert st_.w.tolist() == fresh.w.tolist()
-        assert sol.objective == bqp.evaluate(inst, sol.x, sol.y)
+        assert (st_.cx, st_.value) == (fresh.cx, fresh.value)
+        assert st_.value == reoptimized_value(inst, st_.x)
 
 
 class TestExpectedRandomObjective:

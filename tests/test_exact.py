@@ -7,9 +7,9 @@ from hypothesis import given
 import bqp
 from bqp import Instance
 
-from conftest import random_instance, tight_family
+from instances import random_instance, tight_family
 from test_core import small_instances
-from verifiers import exhaustive_optimum
+from verifiers import brute_force_oracle, exhaustive_optimum
 
 
 def parse_lp_objective(text: str) -> dict[str, int]:
@@ -79,14 +79,14 @@ class TestEnumerateExact:
 
 class TestBruteForceOracle:
     def test_worked_example(self, e1):
-        sol = bqp.brute_force_oracle(e1)
+        sol = brute_force_oracle(e1)
         assert sol.objective == 3
 
     def test_matches_enumerate_exact_on_random_instances(self):
         rng = np.random.default_rng(73)
         for _ in range(50):
             inst = random_instance(rng, int(rng.integers(1, 8)), int(rng.integers(1, 8)))
-            assert bqp.brute_force_oracle(inst).objective == bqp.enumerate_exact(inst).objective
+            assert brute_force_oracle(inst).objective == bqp.enumerate_exact(inst).objective
 
     def test_dominates_heuristics(self):
         rng = np.random.default_rng(74)
@@ -99,7 +99,7 @@ class TestBruteForceOracle:
     def test_size_guard(self):
         inst = Instance(np.zeros((13, 12), dtype=np.int64), np.zeros(13, dtype=np.int64), np.zeros(12, dtype=np.int64))
         with pytest.raises(ValueError):
-            bqp.brute_force_oracle(inst)
+            brute_force_oracle(inst)
 
 
 class TestExportLp:

@@ -7,7 +7,7 @@ import bqp
 from bqp import AlgorithmExpr, Budget, ExprError
 from bqp.expr import needs_budget, needs_rng
 
-from conftest import random_instance
+from instances import random_instance
 
 
 def expr_trees():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 
 import bqp
 from bqp import Budget, Instance
+from bqp.localsearch import _solve_restriction
 
-from conftest import random_instance, tight_family
+from instances import random_instance, tight_family
 from test_core import small_instances
 from verifiers import (
     assert_alternating_optimal,
@@ -14,6 +17,7 @@ from verifiers import (
     assert_portions_optimal,
     exhaustive_optimum,
     naive_objective,
+    reoptimized_value,
 )
 
 
@@ -59,8 +63,27 @@ class TestAlternating:
         start = bqp.make_solution(inst, x, y)
         sol = bqp.alternating(inst, start)
         assert sol.objective >= start.objective
-        assert sol.objective >= 0
         assert sol.objective == naive_objective(inst, sol.x, sol.y)
+        assert_alternating_optimal(inst, sol)
+        # a fixed point below 0 exists (see below), so only starts that are
+        # already nonnegative guarantee a nonnegative result
+        for base in (bqp.greedy(inst), bqp.trivial_solution(inst)):
+            assert bqp.alternating(inst, base).objective >= 0
+
+    @pytest.mark.parametrize(
+        "Q, c, d, x, y",
+        [
+            ([[3]], [-2], [-2], [1], [1]),
+            ([[0, 0, 2]], [-2], [0, 0, -1], [1], [0, 0, 0]),
+        ],
+        ids=["1x1", "1x3"],
+    )
+    def test_negative_fixed_point(self, Q, c, d, x, y):
+        # no one-sided change improves, yet the all-zero solution scores 0
+        inst = Instance(Q, c, d)
+        sol = bqp.alternating(inst, bqp.make_solution(inst, x, y))
+        assert sol.objective == -1
+        assert_alternating_optimal(inst, sol)
 
     def test_certificates_on_random_instances(self):
         rng = np.random.default_rng(21)
@@ -180,25 +203,26 @@ class TestRandomPortions:
 
 
 class TestReduceRestricted:
+    """`_solve_restriction`: the exact optimum with only the free rows unfrozen."""
+
     def test_full_row_set_is_identity(self, e1):
-        red = bqp.reduce_restricted(e1, [0, 1], [0, 0])
-        assert red.reduced == Instance(e1.Q, e1.c, e1.d)
-        assert red.offset == 0
+        total, bits = _solve_restriction(bqp.RowState(e1, (0, 0)), np.array([0, 1]))
+        opt = bqp.enumerate_exact(e1)
+        assert (total, bits.tolist()) == (opt.objective, opt.x.tolist())
 
     def test_worked_example(self, e1):
-        red = bqp.reduce_restricted(e1, [1], [1, 0])
-        assert red.reduced.Q.tolist() == [[-1, 4]]
-        assert red.reduced.c.tolist() == [-1]
-        assert red.reduced.d.tolist() == [1, -2]
-        assert red.offset == 1  # frozen row 0 contributes c_0 * 1
+        # row 0 frozen off; switching row 1 on scores -1 + max(-3, 0) + 4 = 3
+        st_ = bqp.RowState(e1, (0, 0))
+        total, bits = _solve_restriction(st_, np.array([1]))
+        assert (total, bits.tolist()) == (3, [1])
+        assert st_.x.tolist() == [0, 0] and st_.value == 0
 
     def test_rejects_empty_and_bad_rows(self, e1):
+        st_ = bqp.RowState(e1, (0, 0))
         with pytest.raises(ValueError):
-            bqp.reduce_restricted(e1, [], [0, 0])
-        with pytest.raises(ValueError):
-            bqp.reduce_restricted(e1, [0, 0], [0, 0])
-        with pytest.raises(ValueError):
-            bqp.reduce_restricted(e1, [5], [0, 0])
+            _solve_restriction(st_, np.array([], dtype=np.int64))
+        with pytest.raises(IndexError):
+            _solve_restriction(st_, np.array([5]))
 
     def test_expansion_identity_on_random_triples(self):
         rng = np.random.default_rng(28)
@@ -207,9 +231,12 @@ class TestReduceRestricted:
             k = int(rng.integers(1, inst.m + 1))
             free = np.sort(rng.permutation(inst.m)[:k])
             x0 = (rng.random(inst.m) < 0.5).astype(np.int8)
-            red = bqp.reduce_restricted(inst, free, x0)
-            x_star = (rng.random(k) < 0.5).astype(np.int8)
-            y_star = (rng.random(inst.n) < 0.5).astype(np.int8)
-            x, y = red.expand(x_star, y_star)
-            reduced_value = bqp.evaluate(red.reduced, x_star, y_star)
-            assert bqp.evaluate(inst, x, y) == reduced_value + red.offset
+            total, bits = _solve_restriction(bqp.RowState(inst, x0), free)
+            x = x0.copy()
+            x[free] = bits
+            assert reoptimized_value(inst, x) == total
+            values = []
+            for sub in product((0, 1), repeat=k):
+                x[free] = sub
+                values.append(reoptimized_value(inst, x))
+            assert total == max(values)

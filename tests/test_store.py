@@ -4,7 +4,7 @@ import pytest
 import bqp
 from bqp import BestKnownStore, CertificateError
 
-from conftest import random_instance
+from instances import random_instance
 
 
 class TestBestKnownStore:
@@ -48,7 +48,7 @@ class TestBestKnownStore:
 
     def test_in_memory_store(self, e1):
         store = BestKnownStore(None)
-        assert bqp.update_best_known(store, e1, bqp.greedy(e1)) is True
+        assert store.update(e1, bqp.greedy(e1)) is True
         assert store.best_objective(e1) == 2
 
     def test_separate_instances_tracked_independently(self, tmp_path):

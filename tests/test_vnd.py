@@ -4,7 +4,7 @@ import pytest
 import bqp
 from bqp import Budget
 
-from conftest import random_instance
+from instances import random_instance
 from verifiers import (
     assert_alternating_optimal,
     assert_flip_optimal,
@@ -36,12 +36,6 @@ class TestVnd:
         a = bqp.vnd(inst, p_max=4, rng=np.random.default_rng(5))
         b = bqp.vnd(inst, p_max=4, rng=np.random.default_rng(5))
         assert a == b
-
-    def test_immediate_restart_variant_still_sound(self):
-        rng = np.random.default_rng(34)
-        inst = random_instance(rng, 6, 5)
-        sol = bqp.vnd(inst, p_max=inst.m, rng=rng, restart_on_improvement=True)
-        assert sol.objective == exhaustive_optimum(inst)
 
     def test_rejects_bad_p_max(self, e1):
         with pytest.raises(ValueError):
@@ -104,16 +98,19 @@ class TestMultiStart:
         assert record.iterations == 1
 
     def test_best_objective_is_prefix_max_of_log(self):
-        rng = np.random.default_rng(38)
+        rng, replay = np.random.default_rng(38), np.random.default_rng(38)
         inst = random_instance(rng, 6, 6)
+        random_instance(replay, 6, 6)  # keep the replay stream in step
 
         def inner(i, sol, r):
             return bqp.flip_search(i, sol)
 
-        record = bqp.multi_start(inst, inner, Budget.iters(30), rng, keep_log=True)
+        record = bqp.multi_start(inst, inner, Budget.iters(30), rng)
         assert record.iterations == 30
-        assert len(record.objective_log) == 30
-        assert record.best_objective == max(record.objective_log)
+        # replay the 30 spawned children; ties keep the earliest maximum
+        log = [inner(inst, bqp.random_solution(inst, 0.5, c), c) for c in replay.spawn(30)]
+        objectives = [sol.objective for sol in log]
+        assert record.best == log[objectives.index(max(objectives))]
 
     def test_longer_run_never_worse_for_same_seed(self):
         inst = random_instance(np.random.default_rng(39), 7, 5)
