@@ -1,10 +1,13 @@
 """Exact baselines and reformulation exporters.
 
-`enumerate_exact` walks the 2^m row assignments in Gray-code order,
-updating the column sums by one row flip per step and re-optimizing the
-column side in closed form, for O(n 2^m) total work.  The test suite
-cross-checks it against an independent brute-force oracle over both
-sides.  The exporters emit the linearized MIP (LP text format) and the
+`enumerate_exact` visits the 2^m row assignments in reflected-Gray-code
+order and re-optimizes the column side in closed form at each one, for
+O(n 2^m) total work.  The low rows are enumerated once into a table of
+column sums; the high rows are walked one row flip at a time, and each
+walk step scores a whole stretch of the table with a few vectorized
+calls.  The test suite cross-checks it against a literal one-step Gray
+walk and an independent brute-force oracle over both sides.  The
+exporters emit the linearized MIP (LP text format) and the
 (m+n)-variable unconstrained quadratic reformulation (sparse triples).
 """
 
@@ -15,47 +18,76 @@ import numpy as np
 from .core import Instance, Solution, make_solution, optimal_y_given_x
 
 ENUMERATION_ROW_LIMIT = 30
+TABLE_CELLS = 1 << 17  # int64 cells in the low-row table, about 1 MB
 
 
-def enumerate_exact(instance: Instance, block: int = 4096) -> Solution:
+def enumerate_exact(instance: Instance) -> Solution:
     """Global optimum by Gray-code enumeration of the row side.
 
-    Steps are processed in blocks: each block accumulates the one-row-flip
-    deltas with a cumulative sum, which reproduces the per-step column sums
-    exactly while keeping the work vectorized.  Ties are broken by the
-    first optimum found in Gray order.
+    Step t of the enumeration sets x to the bits of g(t) = t ^ (t >> 1)
+    and scores it c.x + sum_j max(s_j, 0) with s = d + Q^T x.  Write
+    t = H 2^b + L, with b = min(m, floor(log2(TABLE_CELLS // n))) low
+    rows.  Row L of the 2^b x n table T holds d plus the low rows set in
+    g(L), and `table_cx[L]` their c.x; both are built once, in Gray
+    order, by doubling: T[h:2h] = T[h-1::-1] + Q[k].  The high rows are
+    walked in Gray order over H, one row added to or taken from the
+    n-vector u per step, and each step scores its 2^b assignments at
+    once: sum_j max(T_Lj + u_j, 0) = sum_j max(T_Lj, -u_j) + sum_j u_j,
+    so one `maximum` into a buffer, a row sum and one `argmax` do it.
+    The table and the buffer hold at most TABLE_CELLS int64 cells each
+    (n columns when n > TABLE_CELLS), whatever m is.
+
+    Ties go to the first optimum in Gray order, as a one-step-at-a-time
+    walk finds it.  The low bits of g(H 2^b + L) are g(L) when H is even
+    and g(2^b - 1 - L) when H is odd (the reflected-Gray property), so an
+    odd step reads the table reversed.  Row L of the buffer is then step
+    H 2^b + L, the first `argmax` is the stretch's first optimum, and a
+    stretch replaces the incumbent only when it is strictly better.
     """
     m, n = instance.m, instance.n
     if m > ENUMERATION_ROW_LIMIT:
         raise ValueError(f"m={m} exceeds the enumeration guard of {ENUMERATION_ROW_LIMIT} rows")
     Q, c, d = instance.Q, instance.c, instance.d
 
-    s = d.copy()
-    cx = 0
-    best_val = cx + int(np.maximum(s, 0).sum())
+    b = min(m, max(TABLE_CELLS // n, 1).bit_length() - 1)
+    size = 1 << b
+    table = np.empty((size, n), dtype=np.int64)
+    table_cx = np.empty(size, dtype=np.int64)
+    table[0] = d
+    table_cx[0] = 0
+    for k in range(b):
+        h = 1 << k
+        np.add(table[h - 1 :: -1], Q[k], out=table[h : 2 * h])
+        np.add(table_cx[h - 1 :: -1], c[k], out=table_cx[h : 2 * h])
+    reads = ((table, table_cx), (table[::-1], table_cx[::-1]))
+
+    # the walk keeps -u and, as one integer, c.x of the high rows plus sum(u)
+    high = Q[b:]
+    high_offsets = (c[b:] + high.sum(axis=1)).tolist()
+    neg_u = np.zeros(n, dtype=np.int64)
+    offset = 0
+    buf = np.empty((size, n), dtype=np.int64)
+    vals = np.empty(size, dtype=np.int64)
+    best_val = None
     best_step = 0
-
-    total = 1 << m
-    block = max(1, min(block, (1 << 21) // max(1, n)))
-    t = 1
-    while t < total:
-        hi = min(t + block, total)
-        steps = np.arange(t, hi, dtype=np.int64)
-        rows = np.log2(steps & -steps).astype(np.int64)  # exact: powers of two
-        gray = steps ^ (steps >> 1)
-        signs = np.where((gray >> rows) & 1, 1, -1).astype(np.int64)
-
-        S = s[None, :] + np.cumsum(signs[:, None] * Q[rows], axis=0)
-        cxs = cx + np.cumsum(signs * c[rows])
-        vals = cxs + np.maximum(S, 0).sum(axis=1)
-
-        i = int(np.argmax(vals))  # first maximum within the block
-        if int(vals[i]) > best_val:
-            best_val = int(vals[i])
-            best_step = t + i
-        s = S[-1]
-        cx = int(cxs[-1])
-        t = hi
+    for H in range(1 << (m - b)):
+        if H:
+            r = (H & -H).bit_length() - 1
+            if (H ^ (H >> 1)) >> r & 1:
+                neg_u -= high[r]
+                offset += high_offsets[r]
+            else:
+                neg_u += high[r]
+                offset -= high_offsets[r]
+        tab, tab_cx = reads[H & 1]
+        np.maximum(tab, neg_u, out=buf)
+        np.sum(buf, axis=1, out=vals)
+        vals += tab_cx
+        i = int(np.argmax(vals))  # first maximum of the stretch
+        val = int(vals[i]) + offset
+        if best_val is None or val > best_val:
+            best_val = val
+            best_step = (H << b) + i
 
     g = best_step ^ (best_step >> 1)
     x = ((g >> np.arange(m)) & 1).astype(np.int8)

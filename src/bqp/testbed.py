@@ -322,6 +322,8 @@ def _parse_int_row(line: str, expected: int, what: str) -> np.ndarray:
         return np.array([int(t) for t in tokens], dtype=np.int64)
     except ValueError as exc:
         raise FormatError(f"{what}: non-integer token ({exc})") from None
+    except OverflowError:
+        raise FormatError(f"{what}: weight outside the signed 64-bit range") from None
 
 
 def read_instance(text: str) -> Instance:

@@ -78,6 +78,21 @@ class TestSolve:
         assert main(["solve", "no/such/file.bqp", "--alg", "G"]) == 1
 
 
+class TestOversizedWeights:
+    @pytest.mark.parametrize(
+        "content",
+        ["1 1\n0\n0\n9223372036854775808\n", "2 1\n0 0\n0\n4611686018427387904\n4611686018427387904\n"],
+        ids=["token-beyond-int64", "mass-beyond-guard"],
+    )
+    def test_solve_reports_one_line_error(self, tmp_path, capsys, content):
+        path = tmp_path / "big.bqp"
+        path.write_text("bqp 1\n" + content)
+        assert main(["solve", str(path), "--alg", "G"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "64-bit" in err
+
+
 class TestExactCommand:
     def test_reports_optimum(self, e1_file, capsys):
         assert main(["exact", str(e1_file)]) == 0

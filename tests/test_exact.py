@@ -9,7 +9,7 @@ from bqp import Instance
 
 from instances import random_instance, tight_family
 from test_core import small_instances
-from verifiers import brute_force_oracle, exhaustive_optimum
+from verifiers import brute_force_oracle, exhaustive_optimum, reference_enumerate_exact
 
 
 def parse_lp_objective(text: str) -> dict[str, int]:
@@ -62,13 +62,27 @@ class TestEnumerateExact:
     def test_matches_full_enumeration(self, inst):
         assert bqp.enumerate_exact(inst).objective == exhaustive_optimum(inst)
 
-    def test_block_size_does_not_change_result(self):
+    def test_block_size_does_not_change_result(self, monkeypatch):
+        # the table size only moves rows between the table and the walk
         rng = np.random.default_rng(71)
         for _ in range(20):
             inst = random_instance(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
-            a = bqp.enumerate_exact(inst, block=1)
-            b = bqp.enumerate_exact(inst, block=4096)
-            assert a == b  # including the Gray-order tie-break
+            results = []
+            for cells in (1, 2, 64, bqp.exact.TABLE_CELLS):
+                monkeypatch.setattr(bqp.exact, "TABLE_CELLS", cells)
+                results.append(bqp.enumerate_exact(inst))
+            assert all(r == results[0] for r in results)  # including the Gray-order tie-break
+
+    @pytest.mark.parametrize("cells", [1, 8, bqp.exact.TABLE_CELLS], ids=["walk", "mixed", "table"])
+    @given(inst=small_instances(max_m=12, max_n=6, lo=-2, hi=2))
+    def test_matches_reference_gray_walk(self, cells, inst):
+        # weights in [-2, 2] make ties common, so x and y pin the tie rule;
+        # one cell puts every row on the walk, eight split the rows between
+        # walk and table (odd walk steps read the table reversed), and the
+        # default holds every row in the table
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bqp.exact, "TABLE_CELLS", cells)
+            assert bqp.enumerate_exact(inst) == reference_enumerate_exact(inst)
 
     def test_solution_cache_is_consistent(self):
         rng = np.random.default_rng(72)

@@ -1,0 +1,43 @@
+"""The scripts in `scripts/` run end to end at a tiny size."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import bqp
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def test_small_instance_study(tmp_path):
+    proc = run_script("small_instance_study.py", "--size", "6x8", "--seeds", "1", "--iters", "5", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[2:]
+    for family in bqp.FAMILIES:
+        assert any(row.split()[0] == family for row in rows), family
+
+
+def test_build_testbed_with_certificates(tmp_path):
+    out = tmp_path / "testbed"
+    proc = run_script(
+        "build_testbed.py", "--out", str(out), "--sizes", "6x8", "--seeds", "1", "--certify", cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"wrote {len(bqp.FAMILIES)} instances" in proc.stdout
+    for family in bqp.FAMILIES:
+        inst = bqp.read_instance((out / f"{family}-6x8-s0.bqp").read_text())
+        _, _, sol = bqp.read_solution((out / f"{family}-6x8-s0.bqpsol").read_text(), inst)
+        assert sol.objective == bqp.enumerate_exact(inst).objective

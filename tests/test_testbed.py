@@ -138,6 +138,11 @@ class TestInstanceIO:
         with pytest.raises(FormatError):
             bqp.read_instance("bqp 1\n1 1\n0\n0\nx\n")
 
+    @pytest.mark.parametrize("weight", [2**63, -(2**63) - 1])
+    def test_weight_beyond_int64_rejected(self, weight):
+        with pytest.raises(FormatError, match="64-bit"):
+            bqp.read_instance(f"bqp 1\n1 1\n0\n0\n{weight}\n")
+
     def test_missing_rows_rejected(self):
         with pytest.raises(FormatError):
             bqp.read_instance("bqp 1\n2 2\n0 0\n0 0\n1 1\n")

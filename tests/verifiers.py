@@ -155,6 +155,34 @@ def _bit_rows(indices: np.ndarray, width: int) -> np.ndarray:
     return ((indices[:, None] >> np.arange(width)[None, :]) & 1).astype(np.int64)
 
 
+def reference_enumerate_exact(inst: Instance) -> Solution:
+    """Gray-code enumeration of the row side, one step at a time.
+
+    Step t flips row i = ctz(t), so x runs through the bits of
+    t ^ (t >> 1); each step moves row i into or out of the column sums s
+    and scores c.x + sum_j max(s_j, 0).  A step replaces the incumbent
+    only when strictly greater, so ties go to the first optimum in Gray
+    order; y is 1 exactly where the optimum's column sum is positive.
+    """
+    Q = inst.Q.tolist()
+    c = inst.c.tolist()
+    s = inst.d.tolist()
+    x = [0] * inst.m
+    cx = 0
+    best_val = sum(v for v in s if v > 0)
+    best_x, best_s = x.copy(), s.copy()
+    for t in range(1, 1 << inst.m):
+        i = (t & -t).bit_length() - 1
+        x[i] ^= 1
+        sign = 1 if x[i] else -1
+        s = [sj + sign * q for sj, q in zip(s, Q[i])]
+        cx += sign * c[i]
+        val = cx + sum(v for v in s if v > 0)
+        if val > best_val:
+            best_val, best_x, best_s = val, x.copy(), s
+    return Solution(best_x, [int(v > 0) for v in best_s], best_val)
+
+
 def brute_force_oracle(instance: Instance) -> Solution:
     """Optimum by full enumeration of all 2^(m+n) assignments.
 
