@@ -6,14 +6,15 @@ choice is driven by a co-occurrence graph over pooled solutions: the
 weight of a row pair counts how many solutions agree on it, a cluster is
 scored by its size times its lightest internal edge, and a greedy
 agglomerative pass maximizes the total score.  The greedy partitioner
-keeps its merge scores in a bucket queue; the test suite checks it
-against a literal recompute-everything version of the same greedy rule.
+keeps every live pair's merge score in one dense m x m matrix; the test
+suite checks it against a literal recompute-everything version of the
+same greedy rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .vnd import vnd_exhaustive
 
 MERGE_ENUMERATION_LIMIT = 20  # merged problems solved exactly up to 2^k
 DEFAULT_SOURCE_POOL = 100
+_NO_PAIR = np.iinfo(np.int64).min  # merge-score entry of a dead or mirrored pair
 
 
 @dataclass(eq=False)
@@ -130,64 +132,45 @@ def partition_weight(graph: CooccurrenceGraph, partition: RowPartition) -> int:
 
 
 class _GreedyMerger:
-    """Bucket-queue agglomerative merging behind both greedy partitioners.
+    """Dense-matrix agglomerative merging behind both greedy partitioners.
 
-    Pairs live in buckets indexed by their merge score delta(P, Q) =
-    w(P u Q) - w(P) - w(Q), which lies in [-pm, 0]; each step pops the
-    lexicographically smallest pair from the highest nonempty bucket and
-    repairs the affected pair entries with the min-merge recurrence.  The
-    repair touches O(m) entries, but the pop scans the whole top bucket,
-    which can hold O(m^2) pairs, so a full run costs up to O(m^3).
+    A live cluster is named by its smallest row.  `union_mu[a, b]` is the
+    lightest internal edge of the union of clusters a and b, and the upper
+    triangle of `delta` holds each live pair's merge score delta(A, B) =
+    w(A u B) - w(A) - w(B), which lies in [-pm, 0]; every other entry of
+    `delta` holds `_NO_PAIR`.  A step merges the pair at the row-major
+    argmax of `delta`, which is the lexicographically smallest of the best
+    pairs, and repairs row and column a with the min-merge recurrence.
+    Each step is O(m^2) vectorised work (the argmax dominates); the state
+    is two m x m int64 matrices, 2 * m^2 * 8 bytes.
     """
 
     def __init__(self, graph: CooccurrenceGraph):
-        self.graph = graph
         m, p = graph.m, graph.p
         self.members: dict[int, np.ndarray] = {i: np.array([i], dtype=np.int64) for i in range(m)}
-        self.mu: dict[int, int] = {i: p for i in range(m)}
-        self.base = p * m  # bucket index offset: delta + base
-        self.buckets: list[set[tuple[int, int]]] = [set() for _ in range(self.base + 1)]
-        self.pairs: dict[tuple[int, int], tuple[int, int]] = {}
-        for a in range(m):
-            for b in range(a + 1, m):
-                mu_u = int(graph.weights[a, b])
-                delta = 2 * mu_u - 2 * p
-                self.pairs[(a, b)] = (delta, mu_u)
-                self.buckets[delta + self.base].add((a, b))
-        self.top = self.base
-
-    def _drop(self, pair: tuple[int, int]) -> tuple[int, int]:
-        delta, mu_u = self.pairs.pop(pair)
-        self.buckets[delta + self.base].discard(pair)
-        return delta, mu_u
+        self.size = np.ones(m, dtype=np.int64)  # 0 once a cluster is merged away
+        self.mu = np.full(m, p, dtype=np.int64)
+        self.union_mu = graph.weights.copy()
+        self.delta = np.full((m, m), _NO_PAIR, dtype=np.int64)
+        iu = np.triu_indices(m, 1)
+        self.delta[iu] = 2 * self.union_mu[iu] - 2 * p
 
     def step(self) -> None:
-        while not self.buckets[self.top]:
-            self.top -= 1
-        a, b = min(self.buckets[self.top])
-        _, mu_ab = self._drop((a, b))
+        m = self.size.size
+        a, b = divmod(int(np.argmax(self.delta)), m)
+        size, mu = self.size, self.mu
+        mu_ab = self.union_mu[a, b]
+        size_new = size[a] + size[b]
+        mu_n = np.minimum(np.minimum(self.union_mu[a], self.union_mu[b]), mu_ab)
+        delta_n = (size + size_new) * mu_n - size * mu - size_new * mu_ab
 
-        size_new = self.members[a].size + self.members[b].size
-        w_new = size_new * mu_ab
-        for r in list(self.members):
-            if r == a or r == b:
-                continue
-            _, mu_ra = self._drop((min(r, a), max(r, a)))
-            _, mu_rb = self._drop((min(r, b), max(r, b)))
-            mu_n = min(mu_ab, mu_ra, mu_rb)
-            w_r = self.members[r].size * self.mu[r]
-            delta_n = (self.members[r].size + size_new) * mu_n - w_r - w_new
-            key = (min(r, a), max(r, a))
-            self.pairs[key] = (delta_n, mu_n)
-            idx = delta_n + self.base
-            self.buckets[idx].add(key)
-            if idx > self.top:
-                self.top = idx
-
-        self.members[a] = np.sort(np.concatenate([self.members[a], self.members[b]]))
-        self.mu[a] = mu_ab
-        del self.members[b]
-        del self.mu[b]
+        self.union_mu[a] = self.union_mu[:, a] = mu_n
+        size[a], mu[a], size[b] = size_new, mu_ab, 0
+        delta_n[size == 0] = _NO_PAIR
+        self.delta[:a, a] = delta_n[:a]
+        self.delta[a, a + 1 :] = delta_n[a + 1 :]
+        self.delta[b] = self.delta[:, b] = _NO_PAIR
+        self.members[a] = np.sort(np.concatenate([self.members[a], self.members.pop(b)]))
 
     def partition(self) -> RowPartition:
         return RowPartition([rows.copy() for rows in self.members.values()])
@@ -291,19 +274,17 @@ def multistart_row_merge(
     k: int,
     budget: Budget,
     rng: np.random.Generator,
-    merged_solver: Callable[[Instance], Solution] | None = None,
 ) -> Solution:
     """Repeatedly merge a random row partition, solve heuristically, expand
     and polish with flip search, keeping the best solution found."""
     if not 1 <= k <= instance.m:
         raise ValueError(f"k must lie in [1, {instance.m}], got {k}")
-    solve = merged_solver or _solve_merged_flip_greedy
     best: Solution | None = None
     clock = budget.start()
     while clock.tick():
         partition = random_partition(instance.m, k, rng)
         reduced = merge_reduce(instance, partition)
-        sub = solve(reduced)
+        sub = _solve_merged_flip_greedy(reduced)
         x = partition.expand(sub.x)
         sol = flip_search(instance, make_solution(instance, x, sub.y))
         if best is None or sol.objective > best.objective:
@@ -341,10 +322,8 @@ def _partition_respecting_x(x: np.ndarray, k: int, rng: np.random.Generator) -> 
     for side, parts in ((zeros, k0), (ones, k1)):
         if parts == 0:
             continue
-        perm = side[rng.permutation(side.size)]
-        cuts = np.sort(rng.permutation(side.size - 1)[: parts - 1] + 1) if parts > 1 else []
-        clusters.extend(np.split(perm, cuts))
-    return RowPartition([np.asarray(c, dtype=np.int64) for c in clusters])
+        clusters.extend(side[c] for c in random_partition(side.size, parts, rng).clusters)
+    return RowPartition(clusters)
 
 
 def rowmerge_local_search(
@@ -353,7 +332,6 @@ def rowmerge_local_search(
     k: int,
     budget: Budget,
     rng: np.random.Generator,
-    merged_solver: Callable[[Instance], Solution] | None = None,
 ) -> Solution:
     """Improvement by re-solving random solution-respecting row merges.
 
@@ -365,13 +343,12 @@ def rowmerge_local_search(
         raise ValueError(f"k must lie in [2, {instance.m}], got {k}")
     if solution.x.shape != (instance.m,) or solution.y.shape != (instance.n,):
         raise ValueError("solution does not match the instance shape")
-    solve = merged_solver or _solve_merged_flip_greedy
     best = solution.copy()
     clock = budget.start()
     while clock.tick():
         partition = _partition_respecting_x(best.x, k, rng)
         reduced = merge_reduce(instance, partition)
-        sub = solve(reduced)
+        sub = _solve_merged_flip_greedy(reduced)
         x = partition.expand(sub.x)
         objective = evaluate(instance, x, sub.y)
         if objective > best.objective:

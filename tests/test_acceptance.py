@@ -146,7 +146,7 @@ def test_07_partitioner_equivalence():
         slow = greedy_partition_reference_levels(graph)
         for k in range(1, m + 1):
             assert fast[k] == slow[k], f"m={m} level {k} differs"
-    report(7, "bucketed == literal partitioner on 500 graphs, all k", time.perf_counter() - t0, 60)
+    report(7, "fast == literal partitioner on 500 graphs, all k", time.perf_counter() - t0, 60)
 
 
 def test_08_incremental_state_soundness():

@@ -188,6 +188,21 @@ class TestBenchCommand:
 
         assert run("a.csv") == run("b.csv")
 
+    def test_same_stem_instances_keep_their_own_gaps(self, tmp_path):
+        paths = []
+        for folder, weight in (("a", 5), ("b", 50)):
+            (tmp_path / folder).mkdir()
+            path = tmp_path / folder / "x.bqp"
+            path.write_text(bqp.write_instance(bqp.Instance([[weight]], [0], [0])))
+            paths.append(str(path))
+        csv_path = tmp_path / "rows.csv"
+        args = ["bench", "--instances", *paths, "--algs", "G", "--csv", str(csv_path)]
+        assert main(args) == 0
+        rows = list(csv.DictReader(csv_path.open()))
+        # both rows are labelled x; each is the optimum of its own instance
+        assert [(r["instance"], r["objective"]) for r in rows] == [("x", "5"), ("x", "50")]
+        assert [r["gap_pct"] for r in rows] == ["0.0000", "0.0000"]
+
     def test_store_updated_only_on_improvement(self, e1_file, tmp_path, e1):
         store_path = tmp_path / "best.jsonl"
         args = [

@@ -170,9 +170,20 @@ class TestGreedyPartition:
         merger = _GreedyMerger(g)
         for _ in range(9):
             merger.step()
-            for rows in merger.members.values():
-                cid = int(rows[0])
-                assert merger.mu[cid] == _mu_scratch(g, rows)
+            expected = np.full((g.m, g.m), np.iinfo(np.int64).min, dtype=np.int64)
+            for a, rows_a in merger.members.items():
+                assert a == int(rows_a[0])
+                assert merger.mu[a] == _mu_scratch(g, rows_a)
+                for b, rows_b in merger.members.items():
+                    if a < b:
+                        union = np.concatenate([rows_a, rows_b])
+                        expected[a, b] = (
+                            union.size * _mu_scratch(g, union)
+                            - rows_a.size * _mu_scratch(g, rows_a)
+                            - rows_b.size * _mu_scratch(g, rows_b)
+                        )
+            # live upper-triangle pairs hold their merge score, all else the sentinel
+            assert np.array_equal(merger.delta, expected)
 
     def test_beats_heaviest_edge_merging(self):
         rng = np.random.default_rng(56)
@@ -332,7 +343,7 @@ class TestRowMergeLocalSearch:
                 assert nxt.objective > sol.objective
             sol = nxt
 
-    def test_bad_merged_solver_never_regresses(self):
+    def test_bad_merged_solver_never_regresses(self, monkeypatch):
         rng = np.random.default_rng(66)
         inst = random_instance(rng, 7, 5)
         start = bqp.flip_search(inst, bqp.greedy(inst))
@@ -342,9 +353,8 @@ class TestRowMergeLocalSearch:
             ones = bqp.make_solution(reduced, [1] * reduced.m, [1] * reduced.n)
             return ones
 
-        sol = bqp.rowmerge_local_search(
-            inst, start, 3, Budget.iters(25), rng, merged_solver=bad_solver
-        )
+        monkeypatch.setattr(bqp.rowmerge, "_solve_merged_flip_greedy", bad_solver)
+        sol = bqp.rowmerge_local_search(inst, start, 3, Budget.iters(25), rng)
         assert sol.objective >= start.objective
 
     def test_rejects_bad_k_and_shape(self, e1):

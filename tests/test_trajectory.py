@@ -27,6 +27,7 @@ EXPECTED = {
     "M(Vex1)": ([4477, 4518, 8225, 3124, 2957, 3426, 14293, 14185, 40, 34], "f411ae5418327275"),
     "Rm5": ([4477, 4518, 8225, 5262, 2957, 3426, 14293, 14185, 40, 34], "d57e7cd5ea81fef2"),
     "R5": ([4477, 4518, 8225, 2549, 2957, 3426, 14293, 14185, 40, 30], "1d6582ad0c4f6a3e"),
+    "Rls3": ([4301, 4447, 8225, 3971, 2863, 3382, 14239, 14185, 39, 31], "10768b3a11bbd6e3"),
 }
 
 
