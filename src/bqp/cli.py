@@ -84,7 +84,8 @@ def bench(
     rows: list[BenchRow] = []
     row_digests: list[str] = []
 
-    def record(label, inst, digest, expr_text, seed, solution, elapsed_ms):
+    def record(label, inst, expr_text, seed, solution, elapsed_ms):
+        digest = instance_digest(inst)
         cur = session_best.get(digest)
         if cur is None or solution.objective > cur:
             session_best[digest] = solution.objective
@@ -106,7 +107,6 @@ def bench(
         )
 
     for ii, (label, inst) in enumerate(instances):
-        digest = instance_digest(inst)
         inst_budget = budget
         if ref_expr is not None:
             if needs_budget(ref_expr):
@@ -117,7 +117,7 @@ def bench(
             ref_sol = run_expr(inst, ref_expr, rng=rng)
             elapsed = time.perf_counter() - t0
             inst_budget = Budget.of_seconds(max(elapsed, 1e-3))
-            record(label, inst, digest, render_expr(ref_expr), seed, ref_sol, elapsed * 1000.0)
+            record(label, inst, render_expr(ref_expr), seed, ref_sol, elapsed * 1000.0)
         for ai, expr in enumerate(exprs):
             for rep in range(repetitions):
                 seed = _cell_seed(master_seed, ii, ai, rep)
@@ -126,7 +126,7 @@ def bench(
                 t0 = time.perf_counter()
                 sol = run_expr(inst, expr, budget=run_budget, rng=rng)
                 elapsed = time.perf_counter() - t0
-                record(label, inst, digest, render_expr(expr), seed, sol, elapsed * 1000.0)
+                record(label, inst, render_expr(expr), seed, sol, elapsed * 1000.0)
 
     for row, digest in zip(rows, row_digests):
         best = session_best.get(digest)

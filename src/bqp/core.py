@@ -151,31 +151,14 @@ def make_solution(instance: Instance, x, y) -> Solution:
     return Solution(x, y, evaluate(instance, x, y))
 
 
-def optimal_y_given_x(instance: Instance, x) -> np.ndarray:
-    """Best column assignment for a fixed x: y_j = 1 iff d_j + sum_i q_ij x_i > 0.
-
-    The inequality is strict, so zero column sums switch the variable off.
-    """
-    x = _as_bits(x, instance.m, "x").astype(np.int64)
-    s = instance.d + instance.Q.T @ x
-    return (s > 0).astype(np.int8)
-
-
-def optimal_x_given_y(instance: Instance, y) -> np.ndarray:
-    """Best row assignment for a fixed y: x_i = 1 iff c_i + sum_j q_ij y_j > 0."""
-    y = _as_bits(y, instance.n, "y").astype(np.int64)
-    w = instance.c + instance.Q @ y
-    return (w > 0).astype(np.int8)
-
-
 class RowState:
     """Row assignment x with its column sums and value, columns left implicit.
 
     Keeps s_j = d_j + sum_i q_ij x_i, the row cost cx = c x and the value
     f(x, y(x)) = cx + sum_j max(s_j, 0) of x with the closed-form optimal
-    columns y_j = [s_j > 0].  Every row-side search scores its moves
-    through this state: complementing one row costs O(n), a set of k rows
-    O(kn).  The state owns a private copy of x.
+    columns y_j = [s_j > 0].  Every search moves its rows and finishes
+    its result through this state: complementing one row costs O(n), a
+    set of k rows O(kn).  The state owns a private copy of x.
     """
 
     __slots__ = ("inst", "x", "s", "cx", "value")

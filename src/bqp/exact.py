@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Instance, Solution, make_solution, optimal_y_given_x
+from .core import Instance, RowState, Solution
 
 ENUMERATION_ROW_LIMIT = 30
 TABLE_CELLS = 1 << 17  # int64 cells in the low-row table, about 1 MB
@@ -42,7 +42,9 @@ def enumerate_exact(instance: Instance) -> Solution:
     and g(2^b - 1 - L) when H is odd (the reflected-Gray property), so an
     odd step reads the table reversed.  Row L of the buffer is then step
     H 2^b + L, the first `argmax` is the stretch's first optimum, and a
-    stretch replaces the incumbent only when it is strictly better.
+    stretch replaces the incumbent only when it is strictly better.  The
+    winning x is finished by a fresh `RowState`, whose value re-derives
+    the optimum from x alone and is checked against the walk's.
     """
     m, n = instance.m, instance.n
     if m > ENUMERATION_ROW_LIMIT:
@@ -91,8 +93,7 @@ def enumerate_exact(instance: Instance) -> Solution:
 
     g = best_step ^ (best_step >> 1)
     x = ((g >> np.arange(m)) & 1).astype(np.int8)
-    y = optimal_y_given_x(instance, x)
-    solution = make_solution(instance, x, y)
+    solution = RowState(instance, x).solution()
     assert solution.objective == best_val
     return solution
 

@@ -5,8 +5,9 @@ implicit: a row assignment x is scored as f(x, y(x)) through the column
 sums maintained by `core.RowState`, so candidate moves cost O(n) per
 touched row instead of a full re-evaluation.  Pure y-moves are never
 explored by these searches; the final solution re-optimizes the columns
-in closed form.  `alternating` moves both sides, keeps ties at the
-current bit and maintains its own row and column sums.
+in closed form.  `alternating` moves both sides and keeps ties at the
+current bit: its rows move through a `RowState`, and it keeps only the
+explicit columns and their row sums.
 """
 
 from __future__ import annotations
@@ -207,38 +208,32 @@ def random_portions(
 def alternating(instance: Instance, solution: Solution) -> Solution:
     """Alternate closed-form improvement of the column and row sides.
 
-    Column and row passes are repeated until one full double pass changes
-    nothing.  Within a pass the flip conditions are strict (zero sums keep
-    the current bit), every flip strictly increases the objective, and the
-    maintained sum arrays are updated only over the changed indices.
+    A column pass and a row pass alternate, starting with the columns,
+    until a pass other than the first changes nothing.  Within a pass the
+    flip conditions are strict (zero sums keep the current bit), so every
+    flip strictly increases the objective.  The rows move through a
+    `RowState`; the explicit columns y keep their ties, with their row sums
+    w = c + Q y.  The result's objective is recomputed as s.y + c.x, so a
+    stale objective on the start solution does not carry over.
     """
     Q = instance.Q
-    x = solution.x.copy()
+    st = RowState(instance, solution.x)
     y = solution.y.copy()
-    s = instance.d + Q.T @ x.astype(np.int64)
     w = instance.c + Q @ y.astype(np.int64)
-    f = solution.objective
-
-    lam = -1
-    while lam <= 0:
-        lam += 1
-        ny = np.where(s > 0, 1, np.where(s < 0, 0, y)).astype(np.int8)
-        dy = (ny - y).astype(np.int64)
-        cols = np.flatnonzero(dy)
-        if cols.size:
-            f += int(s[cols] @ dy[cols])
-            w += Q[:, cols] @ dy[cols]
-            y = ny
-            lam = 0
-        if lam == 1:
+    # a bit flips when its sum's sign favours the other value, 1 - 2 * bit;
+    # a zero sum matches neither, so ties stay put
+    passes = 0
+    while True:
+        if passes % 2 == 0:
+            flips = np.flatnonzero(np.sign(st.s) == 1 - 2 * y)
+            if flips.size:
+                w += Q[:, flips] @ (1 - 2 * y[flips].astype(np.int64))
+                y[flips] ^= 1
+        else:
+            flips = np.flatnonzero(np.sign(w) == 1 - 2 * st.x)
+            if flips.size:
+                st.complement(flips)
+        if passes and not flips.size:
             break
-        lam = 1
-        nx = np.where(w > 0, 1, np.where(w < 0, 0, x)).astype(np.int8)
-        dx = (nx - x).astype(np.int64)
-        rows = np.flatnonzero(dx)
-        if rows.size:
-            f += int(w[rows] @ dx[rows])
-            s += dx[rows] @ Q[rows]
-            x = nx
-            lam = 0
-    return Solution(x, y, f)
+        passes += 1
+    return Solution(st.x.copy(), y, st.cx + int(st.s @ y))

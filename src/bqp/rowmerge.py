@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .construct import greedy, random_solution
-from .core import Instance, Solution, evaluate, make_solution
+from .core import Instance, RowState, Solution
 from .exact import enumerate_exact
 from .localsearch import Budget, flip_search
 from .vnd import vnd_exhaustive
@@ -106,8 +106,9 @@ def cooccurrence(solutions: Sequence) -> CooccurrenceGraph:
     if len(solutions) == 0:
         raise ValueError("need at least one solution")
     xs = [s.x if isinstance(s, Solution) else np.asarray(s, dtype=np.int8) for s in solutions]
-    X = np.stack(xs).astype(np.int64)
-    W = X.T @ X + (1 - X).T @ (1 - X)
+    # float64 BLAS is exact here: every count is at most p < 2^53
+    X = np.stack(xs).astype(np.float64)
+    W = (X.T @ X + (1 - X).T @ (1 - X)).astype(np.int64)
     np.fill_diagonal(W, 0)
     return CooccurrenceGraph(weights=W, p=len(solutions))
 
@@ -251,8 +252,7 @@ def clustering_row_merge(instance: Instance, source_solutions: Sequence, k: int)
     partition = greedy_partition(graph, k)
     reduced = merge_reduce(instance, partition)
     sub = enumerate_exact(reduced)
-    x = partition.expand(sub.x)
-    sol = make_solution(instance, x, sub.y)
+    sol = RowState(instance, partition.expand(sub.x)).solution()
     return vnd_exhaustive(instance, sol, 1)
 
 
@@ -285,8 +285,7 @@ def multistart_row_merge(
         partition = random_partition(instance.m, k, rng)
         reduced = merge_reduce(instance, partition)
         sub = _solve_merged_flip_greedy(reduced)
-        x = partition.expand(sub.x)
-        sol = flip_search(instance, make_solution(instance, x, sub.y))
+        sol = flip_search(instance, RowState(instance, partition.expand(sub.x)).solution())
         if best is None or sol.objective > best.objective:
             best = sol
     if best is None:
@@ -349,8 +348,7 @@ def rowmerge_local_search(
         partition = _partition_respecting_x(best.x, k, rng)
         reduced = merge_reduce(instance, partition)
         sub = _solve_merged_flip_greedy(reduced)
-        x = partition.expand(sub.x)
-        objective = evaluate(instance, x, sub.y)
-        if objective > best.objective:
-            best = Solution(x, sub.y, objective)
+        candidate = RowState(instance, partition.expand(sub.x)).solution()
+        if candidate.objective > best.objective:
+            best = candidate
     return best

@@ -287,9 +287,16 @@ def _content_lines(instance: Instance) -> list[str]:
 
 
 def instance_digest(instance: Instance) -> str:
-    """SHA-256 over the numeric content (dimensions and weights only)."""
-    payload = "\n".join(_content_lines(instance)) + "\n"
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+    """SHA-256 over the numeric content (dimensions and weights only).
+
+    The weights of an instance are read-only, so the hex is computed once
+    and cached on the instance.
+    """
+    digest = getattr(instance, "_digest", None)
+    if digest is None:
+        payload = "\n".join(_content_lines(instance)) + "\n"
+        digest = instance._digest = hashlib.sha256(payload.encode("ascii")).hexdigest()
+    return digest
 
 
 def instance_label(instance: Instance) -> str:

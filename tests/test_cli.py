@@ -224,6 +224,22 @@ class TestBenchCommand:
         assert store_path.read_text() == first  # greedy never beats the stored 2
         assert bqp.BestKnownStore(store_path).best_objective(e1) == 2
 
+    def test_digest_serialises_each_instance_once(self, e1_file, tmp_path, monkeypatch):
+        other = tmp_path / "other.bqp"
+        other.write_text(bqp.write_instance(bqp.generate_instance("random", 4, 5, 0)))
+        calls = []
+        content_lines = bqp.testbed._content_lines
+
+        def counting(inst):
+            calls.append(inst)
+            return content_lines(inst)
+
+        monkeypatch.setattr(bqp.testbed, "_content_lines", counting)
+        args = ["bench", "--instances", str(e1_file), str(other), "--algs", "T,G", "--ref", "G",
+                "--repetitions", "2", "--store", str(tmp_path / "best.jsonl")]
+        assert main(args) == 0
+        assert len(calls) == len({id(inst) for inst in calls}) == 2
+
     def test_equal_time_reference_policy(self, e1_file, tmp_path, capsys):
         code = main(
             [

@@ -86,32 +86,28 @@ class TestEvaluate:
 
 
 class TestConditionalOptima:
+    """The closed-form columns y(x) = [s > 0] that `RowState` finishes with."""
+
     def test_optimal_y_worked_example(self, e1):
         # column sums for x=(1,1) are (0, 2); the zero stays off
-        assert bqp.optimal_y_given_x(e1, (1, 1)).tolist() == [0, 1]
+        sol = bqp.RowState(e1, (1, 1)).solution()
+        assert (sol.y.tolist(), sol.objective) == ([0, 1], 2)
 
     def test_optimal_y_zero_x_zero_d(self):
         inst = Instance([[1, -1], [2, -2]], [0, 0], [0, 0])
-        assert bqp.optimal_y_given_x(inst, (0, 0)).tolist() == [0, 0]
+        sol = bqp.RowState(inst, (0, 0)).solution()
+        assert (sol.y.tolist(), sol.objective) == ([0, 0], 0)
 
     def test_optimal_y_sign_of_d(self):
         inst = Instance([[0, 0]], [0], [1, -1])
-        assert bqp.optimal_y_given_x(inst, (0,)).tolist() == [1, 0]
-
-    def test_optimal_x_worked_example(self, e1):
-        assert bqp.optimal_x_given_y(e1, (0, 1)).tolist() == [0, 1]
-
-    def test_optimal_x_zero_cases(self):
-        inst = Instance([[0], [0]], [2, -2], [0])
-        assert bqp.optimal_x_given_y(inst, (0,)).tolist() == [1, 0]
-        inst0 = Instance([[0], [0]], [0, 0], [0])
-        assert bqp.optimal_x_given_y(inst0, (0,)).tolist() == [0, 0]
+        sol = bqp.RowState(inst, (0,)).solution()
+        assert (sol.y.tolist(), sol.objective) == ([1, 0], 1)
 
     @given(small_instances(max_m=3, max_n=4), st.data())
     def test_optimal_y_beats_enumeration(self, inst, data):
         x = data.draw(bits(inst.m))
-        y = bqp.optimal_y_given_x(inst, x)
-        assert bqp.evaluate(inst, x, y) == best_value_for_x(inst, x)
+        sol = bqp.RowState(inst, x).solution()
+        assert sol.objective == naive_objective(inst, x, sol.y) == best_value_for_x(inst, x)
 
     def test_optimal_y_beats_enumeration_for_every_x(self):
         from itertools import product
@@ -120,8 +116,8 @@ class TestConditionalOptima:
         for _ in range(5):
             inst = random_instance(rng, 4, 5)
             for x in product((0, 1), repeat=inst.m):
-                y = bqp.optimal_y_given_x(inst, x)
-                assert bqp.evaluate(inst, x, y) == best_value_for_x(inst, x)
+                sol = bqp.RowState(inst, x).solution()
+                assert sol.objective == naive_objective(inst, x, sol.y) == best_value_for_x(inst, x)
 
 
 class TestIncrementalState:

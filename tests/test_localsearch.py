@@ -56,6 +56,14 @@ class TestAlternating:
         sol = bqp.alternating(inst, start)
         assert sol.objective == 0
 
+    def test_stale_start_objective_is_not_trusted(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            inst = random_instance(rng, 5, 6)
+            start = bqp.random_solution(inst, 0.5, rng)
+            sol = bqp.alternating(inst, bqp.Solution(start.x, start.y, start.objective + 1000))
+            assert sol.objective == bqp.evaluate(inst, sol.x, sol.y)
+
     @given(small_instances(), st.data())
     def test_never_decreases_and_nonnegative(self, inst, data):
         x = data.draw(st.lists(st.integers(0, 1), min_size=inst.m, max_size=inst.m))

@@ -45,6 +45,31 @@ class TestGraphGenerator:
         assert 80.0 < float(vals.std()) < 120.0
 
 
+# instance_digest of generate_instance(family, 6, 9, 0) and (family, 12, 5, 1)
+GOLDEN_DIGESTS = {
+    "random": (
+        "d1230642f5da86fd01d5c3d34ddccdecc9eba9e160e6278b65c396311b639cd3",
+        "5e279248d0a773d569a01258b91658ddf8cc1d66b06e11105ec0295df6716053",
+    ),
+    "biclique": (
+        "7b731370b4e21a0ef2555a8249e1c744a6ad41aa6b39f8c5524cc70c50d0a66e",
+        "150261bd05c2ed235987c0fc603659ca06ddc1a90f28da65592544ad8bfcab73",
+    ),
+    "maxinduced": (
+        "56a5ccabfd7581bf8b7879fb129505d0dd298c8bdc9a2db64c966359ac7aabc5",
+        "fc505fd3ac3a2edaa443050db04cf0c67356b53c59e9eeb41b00bfb0cb56d283",
+    ),
+    "maxcut": (
+        "1b08a2de424bcac43fcae6d056016f2ea3e5ffb770dc6911d6b5bf138fa6cdb3",
+        "97ca9603babe0fc2da9286b14ddbd1167b3de17d1e0f4c4f089489f87187fcfe",
+    ),
+    "matrixfact": (
+        "154ac54425a6d6b39e541b8bc71a4b5b98e392ead2ce4ec92c962ef4b09f1359",
+        "09977d28bd646987a6534de36a9358f77fc312098f74e576e0a7889bf0c31698",
+    ),
+}
+
+
 class TestFamilies:
     def test_matrixfact_entries(self):
         inst = bqp.generate_instance("matrixfact", 6, 7, seed=5)
@@ -110,6 +135,14 @@ class TestFamilies:
             assert a == b
             c = bqp.write_instance(bqp.generate_instance(family, 5, 6, seed=14))
             assert a != c
+
+    @pytest.mark.parametrize("family", bqp.FAMILIES)
+    def test_golden_digests(self, family):
+        digests = tuple(
+            bqp.instance_digest(bqp.generate_instance(family, m, n, seed))
+            for m, n, seed in ((6, 9, 0), (12, 5, 1))
+        )
+        assert digests == GOLDEN_DIGESTS[family]
 
 
 class TestInstanceIO:
