@@ -41,6 +41,13 @@ def gap(objective: float, best_known: float) -> float | None:
     return (best_known - objective) / best_known * 100.0
 
 
+# `_cell_seed` is injective for one master seed while a bench stays inside
+# these limits; `bench` refuses anything larger instead of reusing streams.
+MAX_REPETITIONS = 101
+MAX_EXPRESSIONS = 98  # the timing reference takes one slot
+MAX_INSTANCES = 99
+
+
 def _cell_seed(master: int, instance_idx: int, alg_idx: int, repetition: int) -> int:
     """Deterministic per-run seed, reproducible from the CSV row alone."""
     return master * 1_000_003 + instance_idx * 10_007 + alg_idx * 101 + repetition
@@ -80,6 +87,13 @@ def bench(
         raise ValueError("bench needs at least one instance and one expression")
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
+    slots = len(exprs) + (ref_expr is not None)
+    if repetitions > MAX_REPETITIONS or slots > MAX_EXPRESSIONS or len(instances) > MAX_INSTANCES:
+        raise ValueError(
+            f"bench takes at most {MAX_REPETITIONS} repetitions, {MAX_EXPRESSIONS} expressions"
+            f" (the reference included) and {MAX_INSTANCES} instances; beyond that the per-run"
+            " seeds collide"
+        )
     session_best: dict[str, int] = {}
     rows: list[BenchRow] = []
     row_digests: list[str] = []
@@ -315,6 +329,8 @@ def cmd_verify(args) -> int:
             failures += 1
     if args.store:
         store = BestKnownStore(args.store)
+        if store.torn_lines:
+            print(f"NOTE store: skipped {store.torn_lines} torn last line")
         try:
             store.verify(inst)
             rec = store.best(instance_digest(inst))

@@ -129,12 +129,12 @@ def _as_bits(v, length: int, label: str) -> np.ndarray:
     raw = np.asarray(v)
     if raw.size and raw.dtype.kind in "fc":
         raise TypeError(f"{label} must be integer-valued, got dtype {raw.dtype}")
-    arr = raw.astype(np.int8)
-    if arr.shape != (length,):
-        raise DimensionError(f"{label} must have length {length}, got shape {arr.shape}")
-    if arr.size and (arr.min() < 0 or arr.max() > 1):
+    if raw.shape != (length,):
+        raise DimensionError(f"{label} must have length {length}, got shape {raw.shape}")
+    # Checked before the cast, which would wrap 256 to 0 and 257 to 1.
+    if raw.size and (raw.min() < 0 or raw.max() > 1):
         raise ValueError(f"{label} must be 0/1 valued")
-    return arr
+    return raw.astype(np.int8)
 
 
 def evaluate(instance: Instance, x, y) -> int:

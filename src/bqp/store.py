@@ -4,6 +4,8 @@ One JSON record per line keyed by the instance content digest.  Records
 are appended only on strict improvement, each carries the full assignment
 so it can be re-verified, and appends are serialized through an advisory
 file lock so concurrent benchmark runs cannot interleave partial lines.
+An append cut short (a crash mid-write) leaves an unterminated last line:
+loading skips it if it does not parse, and the next append removes it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import Instance, Solution, evaluate
-from .testbed import CertificateError, instance_digest, instance_label
+from .testbed import CertificateError, FormatError, instance_digest, instance_label
 
 
 @dataclass
@@ -45,18 +47,21 @@ class BestRecord:
         )
 
     @classmethod
-    def from_json(cls, line: str) -> "BestRecord":
-        raw = json.loads(line)
-        return cls(
-            digest=raw["digest"],
-            label=raw["label"],
-            objective=int(raw["objective"]),
-            x=raw["x"],
-            y=raw["y"],
-            algorithm=raw.get("algorithm", ""),
-            seed=raw.get("seed"),
-            timestamp=float(raw.get("timestamp", 0.0)),
-        )
+    def from_json(cls, line: str | bytes) -> "BestRecord":
+        try:
+            raw = json.loads(line)
+            return cls(
+                digest=raw["digest"],
+                label=raw["label"],
+                objective=int(raw["objective"]),
+                x=raw["x"],
+                y=raw["y"],
+                algorithm=raw.get("algorithm", ""),
+                seed=raw.get("seed"),
+                timestamp=float(raw.get("timestamp", 0.0)),
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"malformed store record ({type(exc).__name__}: {exc})") from None
 
 
 class BestKnownStore:
@@ -65,11 +70,19 @@ class BestKnownStore:
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._best: dict[str, BestRecord] = {}
+        self.torn_lines = 0  # unterminated, unparsable last lines skipped on load
         if self.path is not None and self.path.exists():
-            for line in self.path.read_text().splitlines():
+            lines = self.path.read_text().split("\n")
+            for number, line in enumerate(lines, 1):
                 if not line.strip():
                     continue
-                record = BestRecord.from_json(line)
+                try:
+                    record = BestRecord.from_json(line)
+                except FormatError as exc:
+                    if number == len(lines):  # no newline after it: a torn append
+                        self.torn_lines += 1
+                        continue
+                    raise FormatError(f"{self.path}:{number}: {exc}") from None
                 cur = self._best.get(record.digest)
                 if cur is None or record.objective > cur.objective:
                     self._best[record.digest] = record
@@ -125,10 +138,34 @@ class BestKnownStore:
         )
         self._best[digest] = record
         if self.path is not None:
-            with open(self.path, "a") as fh:
+            with open(self.path, "a+b") as fh:
                 fcntl.flock(fh, fcntl.LOCK_EX)
-                fh.write(record.to_json() + "\n")
+                _seal_last_line(fh)
+                fh.write(record.to_json().encode() + b"\n")
                 fh.flush()
                 fcntl.flock(fh, fcntl.LOCK_UN)
         return True
 
+
+def _seal_last_line(fh) -> None:
+    """End the file on a whole record before an append (the lock is held).
+
+    An unterminated last line is the trace of an append cut short: it is
+    dropped if it does not parse and terminated if it does, so the next
+    record never lands on the same line.
+    """
+    end = fh.seek(0, 2)
+    if end == 0:
+        return
+    fh.seek(end - 1)
+    if fh.read(1) == b"\n":
+        return
+    fh.seek(0)
+    data = fh.read()
+    start = data.rfind(b"\n") + 1
+    try:
+        BestRecord.from_json(data[start:])
+    except FormatError:
+        fh.truncate(start)
+    else:
+        fh.write(b"\n")

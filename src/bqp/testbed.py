@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -105,39 +106,52 @@ def _balanced_degrees(
     50*(m+n) attempts, a deterministic fixer walks the left sum toward the
     right sum within its bounds and then adjusts the right side, which
     always terminates for a feasible spec.
-    """
-    dl = rng.integers(spec.left_min, spec.left_max + 1, size=spec.m)
-    dr = rng.integers(spec.right_min, spec.right_max + 1, size=spec.n)
-    threshold = DEGREE_RESAMPLE_FACTOR * (spec.m + spec.n)
-    side = 0
-    attempts = 0
-    while dl.sum() != dr.sum() and attempts < threshold:
-        if side == 0:
-            dl[rng.integers(spec.m)] = rng.integers(spec.left_min, spec.left_max + 1)
-        else:
-            dr[rng.integers(spec.n)] = rng.integers(spec.right_min, spec.right_max + 1)
-        side ^= 1
-        attempts += 1
 
-    if dl.sum() != dr.sum():
-        delta = 1 if dl.sum() < dr.sum() else -1
-        while (
-            dl.sum() != dr.sum()
-            and spec.m * spec.left_min <= delta + dl.sum() <= spec.m * spec.left_max
-        ):
+    The draws are part of the output, so their calls, bounds and order are
+    fixed.  A resample draws the new degree *before* the index it replaces:
+    that is the order of ``dl[rng.integers(m)] = rng.integers(lo, hi)``,
+    whose right-hand side Python evaluates first, and swapping the two
+    draws changes the graphs.  The degree sums are running integers.
+    """
+    m, n = spec.m, spec.n
+    dl = rng.integers(spec.left_min, spec.left_max + 1, size=m)
+    dr = rng.integers(spec.right_min, spec.right_max + 1, size=n)
+    left, right = dl.tolist(), dr.tolist()
+    sum_l, sum_r = sum(left), sum(right)
+    threshold = DEGREE_RESAMPLE_FACTOR * (m + n)
+    attempts = 0
+    while sum_l != sum_r and attempts < threshold:
+        if attempts % 2 == 0:
+            value = int(rng.integers(spec.left_min, spec.left_max + 1))
+            i = int(rng.integers(m))
+            sum_l += value - left[i]
+            left[i] = value
+        else:
+            value = int(rng.integers(spec.right_min, spec.right_max + 1))
+            j = int(rng.integers(n))
+            sum_r += value - right[j]
+            right[j] = value
+        attempts += 1
+    dl, dr = np.array(left, dtype=np.int64), np.array(right, dtype=np.int64)
+
+    if sum_l != sum_r:
+        delta = 1 if sum_l < sum_r else -1
+        while sum_l != sum_r and m * spec.left_min <= delta + sum_l <= m * spec.left_max:
             cand = np.flatnonzero(
                 (spec.left_min <= dl + delta) & (dl + delta <= spec.left_max)
             )
             if cand.size == 0:  # unreachable for a feasible spec
                 raise GenerationError("degree fixing stalled on the left side")
             dl[cand[rng.integers(cand.size)]] += delta
-        while dl.sum() != dr.sum():
+            sum_l += delta
+        while sum_l != sum_r:
             cand = np.flatnonzero(
                 (spec.right_min <= dr - delta) & (dr - delta <= spec.right_max)
             )
             if cand.size == 0:
                 raise GenerationError("degree fixing stalled on the right side")
             dr[cand[rng.integers(cand.size)]] -= delta
+            sum_r -= delta
     return dl, dr
 
 
@@ -151,38 +165,59 @@ def _realize_edges(
     random non-adjacent right node is relocated.  Returns None on a dead
     end (the sampled sequence was not realizable), letting the caller
     resample the degrees.
+
+    Every choice is one ``rng.integers(k)`` over a candidate list in
+    ascending order, and the draws are part of the output, so the calls,
+    bounds and order are fixed.  The candidate sets are kept as each step
+    changes them instead of being rescanned: the deficient rows in a
+    sorted list, the open columns in a mask beside the free cells
+    ``~adj``, and the adjacency once more transposed so that a column's
+    neighbours are one contiguous row.
     """
     m, n = spec.m, spec.n
-    adj = np.zeros((m, n), dtype=bool)
-    deg_l = np.zeros(m, dtype=np.int64)
-    deg_r = np.zeros(n, dtype=np.int64)
+    want_l, want_r = dl.tolist(), dr.tolist()
+    deg_l, deg_r = [0] * m, [0] * n
+    deficient = [v for v in range(m) if want_l[v] > 0]
+    open_cols = dr > 0  # deg_r < dr
+    movable = dr > 0  # columns with an edge to give up once they are full
+    free = np.ones((m, n), dtype=bool)  # ~adj
+    free_rows = list(free)
+    adj_cols = list(np.zeros((n, m), dtype=bool))  # adj transposed
+    buf = np.empty(n, dtype=bool)
     ops = 0
-    max_ops = 20 * int(dl.sum()) + 100
-    while True:
-        deficient = np.flatnonzero(deg_l < dl)
-        if deficient.size == 0:
-            break
+    max_ops = 20 * sum(want_l) + 100
+    while deficient:
         ops += 1
         if ops > max_ops:
             return None
-        v = int(deficient[rng.integers(deficient.size)])
-        open_right = np.flatnonzero((deg_r < dr) & ~adj[v])
-        if open_right.size:
-            u = int(open_right[rng.integers(open_right.size)])
+        v = deficient[rng.integers(len(deficient))]
+        row = free_rows[v]
+        cand = np.logical_and(open_cols, row, out=buf).nonzero()[0]
+        if cand.size:
+            u = cand.item(rng.integers(cand.size))
+            deg_r[u] += 1
+            if deg_r[u] == want_r[u]:
+                open_cols[u] = False
         else:
-            movable = np.flatnonzero(~adj[v] & (dr > 0))
-            if movable.size == 0:
+            # Every free column is full, so moving one of its edges to v
+            # leaves its degree as it was.
+            cand = np.logical_and(movable, row, out=buf).nonzero()[0]
+            if cand.size == 0:
                 return None
-            u = int(movable[rng.integers(movable.size)])
-            nbrs = np.flatnonzero(adj[:, u])
-            v2 = int(nbrs[rng.integers(nbrs.size)])
-            adj[v2, u] = False
+            u = cand.item(rng.integers(cand.size))
+            nbrs = adj_cols[u].nonzero()[0]
+            v2 = nbrs.item(rng.integers(nbrs.size))
+            free_rows[v2][u] = True
+            adj_cols[u][v2] = False
+            if deg_l[v2] == want_l[v2]:
+                insort(deficient, v2)
             deg_l[v2] -= 1
-            deg_r[u] -= 1
-        adj[v, u] = True
+        row[u] = False
+        adj_cols[u][v] = True
         deg_l[v] += 1
-        deg_r[u] += 1
-    left, right = np.nonzero(adj)  # row-major, deterministic weight order
+        if deg_l[v] == want_l[v]:
+            del deficient[bisect_left(deficient, v)]
+    left, right = np.nonzero(~free)  # row-major, deterministic weight order
     return np.column_stack([left, right]).astype(np.int64)
 
 

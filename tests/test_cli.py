@@ -3,7 +3,7 @@ import csv
 import pytest
 
 import bqp
-from bqp.cli import gap, main
+from bqp.cli import MAX_EXPRESSIONS, MAX_INSTANCES, MAX_REPETITIONS, _cell_seed, bench, gap, main
 
 
 @pytest.fixture
@@ -134,6 +134,50 @@ class TestVerifyCommand:
         bqp.BestKnownStore(store_path).update(e1, bqp.greedy(e1), algorithm="G")
         assert main(["verify", str(e1_file), "--store", str(store_path)]) == 0
         assert "store best 2" in capsys.readouterr().out
+
+    def test_malformed_store_is_a_one_line_error(self, e1_file, tmp_path, capsys):
+        store_path = tmp_path / "best.jsonl"
+        store_path.write_text("{torn\n")
+        assert main(["verify", str(e1_file), "--store", str(store_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and ":1: malformed store record" in err
+        assert err.count("\n") == 1
+
+    def test_torn_store_line_is_noted(self, e1_file, tmp_path, e1, capsys):
+        store_path = tmp_path / "best.jsonl"
+        bqp.BestKnownStore(store_path).update(e1, bqp.greedy(e1))
+        store_path.write_text(store_path.read_text() + '{"digest": "ab')
+        assert main(["verify", str(e1_file), "--store", str(store_path)]) == 0
+        out = capsys.readouterr().out
+        assert "skipped 1 torn last line" in out and "store best 2" in out
+
+
+class TestCellSeeds:
+    def test_injective_inside_the_accepted_range(self):
+        seeds = {
+            _cell_seed(7, ii, ai, rep)
+            for ii in range(MAX_INSTANCES)
+            for ai in range(MAX_EXPRESSIONS)
+            for rep in range(MAX_REPETITIONS)
+        }
+        assert len(seeds) == MAX_INSTANCES * MAX_EXPRESSIONS * MAX_REPETITIONS
+
+    def test_unchanged_inside_the_accepted_range(self):
+        assert _cell_seed(0, 0, 0, 100) == 100
+        assert _cell_seed(3, 2, 1, 4) == 3 * 1_000_003 + 2 * 10_007 + 101 + 4
+
+    def test_repetitions_beyond_the_range_rejected(self, e1_file, capsys):
+        args = ["bench", "--instances", str(e1_file), "--algs", "T", "--repetitions", "102"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "collide" in err and err.count("\n") == 1
+
+    def test_too_many_expression_slots_rejected(self, e1):
+        exprs = [bqp.parse_expr("T")] * MAX_EXPRESSIONS
+        with pytest.raises(ValueError, match="collide"):
+            bench([("e1", e1)], exprs, 1, 0, ref_expr=bqp.parse_expr("G"))
+        with pytest.raises(ValueError, match="collide"):
+            bench([("e1", e1)] * (MAX_INSTANCES + 1), exprs[:1], 1, 0)
 
 
 class TestBenchCommand:

@@ -74,6 +74,13 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             bqp.evaluate(e1, (0, 2), (0, 1))
 
+    def test_rejects_values_that_wrap_to_bits(self, e1):
+        # 256 and 257 are 0 and 1 modulo 2**8: they must not pass as bits.
+        with pytest.raises(ValueError, match="0/1"):
+            bqp.evaluate(e1, [256, 1], [0, 1])
+        with pytest.raises(ValueError, match="0/1"):
+            bqp.RowState(e1, [257, 1])
+
     @given(small_instances(), st.data())
     def test_matches_naive_loops(self, inst, data):
         x = data.draw(bits(inst.m))

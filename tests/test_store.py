@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bqp
-from bqp import BestKnownStore, CertificateError
+from bqp import BestKnownStore, CertificateError, FormatError
 
 from instances import random_instance
 
@@ -60,3 +60,51 @@ class TestBestKnownStore:
         store.update(b, bqp.enumerate_exact(b))
         assert store.best_objective(a) == bqp.enumerate_exact(a).objective
         assert store.best_objective(b) == bqp.enumerate_exact(b).objective
+
+
+class TestDamagedStoreFile:
+    def _two_records(self, tmp_path):
+        rng = np.random.default_rng(8)
+        a, b = random_instance(rng, 3, 3), random_instance(rng, 3, 4)
+        path = tmp_path / "best.jsonl"
+        store = BestKnownStore(path)
+        store.update(a, bqp.enumerate_exact(a))
+        store.update(b, bqp.enumerate_exact(b))
+        return path, a, b
+
+    def test_torn_last_line_skipped_and_counted(self, tmp_path):
+        path, a, b = self._two_records(tmp_path)
+        text = path.read_text()
+        path.write_text(text[: len(text) - 20])  # cut the second append short
+        store = BestKnownStore(path)
+        assert store.torn_lines == 1
+        assert store.best_objective(a) == bqp.enumerate_exact(a).objective
+        assert store.best_objective(b) is None
+
+    def test_append_after_a_torn_line_drops_it(self, tmp_path):
+        path, a, b = self._two_records(tmp_path)
+        text = path.read_text()
+        path.write_text(text[: len(text) - 20])
+        assert BestKnownStore(path).update(b, bqp.enumerate_exact(b)) is True
+        reloaded = BestKnownStore(path)
+        assert reloaded.torn_lines == 0
+        assert len(path.read_text().splitlines()) == 2
+        assert reloaded.best_objective(b) == bqp.enumerate_exact(b).objective
+
+    def test_unterminated_whole_last_line_is_kept(self, tmp_path):
+        path, a, b = self._two_records(tmp_path)
+        path.write_text(path.read_text().rstrip("\n"))
+        store = BestKnownStore(path)
+        assert store.torn_lines == 0 and store.best_objective(b) is not None
+        c = random_instance(np.random.default_rng(9), 2, 2)
+        store.update(c, bqp.enumerate_exact(c))
+        assert len(path.read_text().splitlines()) == 3
+        assert BestKnownStore(path).best_objective(c) == bqp.enumerate_exact(c).objective
+
+    @pytest.mark.parametrize("bad", ["{not json", '{"digest": "d"}', "[1, 2]", '"text"'])
+    def test_malformed_inner_line_raises_format_error(self, tmp_path, bad):
+        path, a, b = self._two_records(tmp_path)
+        first, second = path.read_text().splitlines()
+        path.write_text(f"{first}\n{bad}\n{second}\n")
+        with pytest.raises(FormatError, match=":2:"):
+            BestKnownStore(path)

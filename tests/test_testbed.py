@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import bqp
-from bqp import BipartiteGraphSpec, CertificateError, FormatError, Instance
+import verifiers
+from bqp import BipartiteGraphSpec, CertificateError, FormatError, Instance, testbed
 from bqp.testbed import normal_integers
+from verifiers import reference_balanced_degrees, reference_realize_edges
 
 
 class TestGraphGenerator:
@@ -45,27 +49,108 @@ class TestGraphGenerator:
         assert 80.0 < float(vals.std()) < 120.0
 
 
-# instance_digest of generate_instance(family, 6, 9, 0) and (family, 12, 5, 1)
+@st.composite
+def feasible_specs(draw, max_side=30):
+    m = draw(st.integers(1, max_side))
+    n = draw(st.integers(1, max_side))
+    left_max = draw(st.integers(0, n))
+    left_min = draw(st.integers(0, left_max))
+    right_max = draw(st.integers(0, m))
+    right_min = draw(st.integers(0, right_max))
+    assume(m * left_min <= n * right_max and m * left_max >= n * right_min)
+    return BipartiteGraphSpec(m, n, left_min, left_max, right_min, right_max, weight_mean=0)
+
+
+def assert_same_draws(spec: BipartiteGraphSpec, seed: int, retries: int = 3) -> int:
+    """The generator and the verbatim reference agree, RNG state included.
+
+    Uses the degree and edge streams that `generate_instance(..., seed)`
+    hands to `generate_graph` and mirrors its retry loop, so a dead end
+    followed by a resample has to line up as well.  Returns the number of
+    dead ends met.
+    """
+    ours = np.random.default_rng(seed).spawn(3)[:2]
+    ref = np.random.default_rng(seed).spawn(3)[:2]
+
+    def same_state():
+        return all(a.bit_generator.state == b.bit_generator.state for a, b in zip(ours, ref))
+
+    for dead_ends in range(retries):
+        dl, dr = testbed._balanced_degrees(spec, ours[0])
+        ref_dl, ref_dr = reference_balanced_degrees(spec, ref[0])
+        assert dl.tolist() == ref_dl.tolist() and dr.tolist() == ref_dr.tolist()
+        assert same_state()
+        edges = testbed._realize_edges(spec, dl, dr, ours[1])
+        ref_edges = reference_realize_edges(spec, ref_dl, ref_dr, ref[1])
+        assert (edges is None) == (ref_edges is None)
+        assert same_state()
+        if edges is not None:
+            assert edges.dtype == ref_edges.dtype and np.array_equal(edges, ref_edges)
+            return dead_ends
+    return retries
+
+
+class TestGeneratorMatchesReference:
+    @given(feasible_specs(), st.integers(0, 2**32 - 1))
+    def test_same_draws_same_graph(self, spec, seed):
+        assert_same_draws(spec, seed)
+
+    def test_dead_end_retries_line_up(self):
+        spec = testbed._biclique_style_spec(8, 12, 0.0)
+        assert assert_same_draws(spec, seed=0, retries=5) == 3
+
+    def test_deterministic_fixer(self, monkeypatch):
+        monkeypatch.setattr(testbed, "DEGREE_RESAMPLE_FACTOR", 0)
+        monkeypatch.setattr(verifiers, "DEGREE_RESAMPLE_FACTOR", 0)
+        for seed in range(20):
+            assert_same_draws(BipartiteGraphSpec(7, 11, 1, 9, 0, 7, weight_mean=0), seed)
+            assert_same_draws(BipartiteGraphSpec(13, 4, 0, 4, 2, 13, weight_mean=0), seed)
+
+
+# instance_digest of generate_instance(family, m, n, seed) at each shape;
+# the last four are the benchmark's shapes, and the 8x12 graph families
+# hit three dead-end realizations before a retry succeeds.
+GOLDEN_SHAPES = ((6, 9, 0), (12, 5, 1), (40, 600, 0), (200, 20, 0), (20, 50, 0), (8, 12, 0))
 GOLDEN_DIGESTS = {
     "random": (
         "d1230642f5da86fd01d5c3d34ddccdecc9eba9e160e6278b65c396311b639cd3",
         "5e279248d0a773d569a01258b91658ddf8cc1d66b06e11105ec0295df6716053",
+        "e627afc8a2dd4195475dc77317260189a521f0ca1b349f1ff998113213321d33",
+        "542800388f9e5f5147914ea4e91c22dc8117ce5f14f0376d4a70d8a35b501bdf",
+        "ed235b5262604a979f0387c63975cf5e08c3a7b02e8ac0239d87eee6c2b4925a",
+        "47deafe507896f3df507d04fc524206c7bd931f34a695a50bc472becded0801a",
     ),
     "biclique": (
         "7b731370b4e21a0ef2555a8249e1c744a6ad41aa6b39f8c5524cc70c50d0a66e",
         "150261bd05c2ed235987c0fc603659ca06ddc1a90f28da65592544ad8bfcab73",
+        "8951c60782dbb1b7d06e1b442b43d2fd2298c2a256a5957f725bf65706e80151",
+        "bb7ed32e6aad4eb9b77431ce3051fd98de3880674140d80e6d8f9b466004abac",
+        "7cae53cf66afb90b8fe533765191094a7da245711f75898298d40c250f19d9a0",
+        "858a87815fc53187cf8faa7233d9467c56d4d4a692285e08b750c1458ad5d64c",
     ),
     "maxinduced": (
         "56a5ccabfd7581bf8b7879fb129505d0dd298c8bdc9a2db64c966359ac7aabc5",
         "fc505fd3ac3a2edaa443050db04cf0c67356b53c59e9eeb41b00bfb0cb56d283",
+        "07ceb0c491d67b3006a7aa4902bf9da827d67efd661f1c55b688c108a7b95096",
+        "5cd233fadceed3a1ce2daece63258d9ca460492d1d35118b6b14b8a8ff3f0044",
+        "5c6f570f80954344c53161b27f5674a9aa72115d47936b38d94f1e27b73d7c35",
+        "748fea98fc84466c4c3c71fe9690a317dbfbcff2185490e1414f8a0b9d87ac94",
     ),
     "maxcut": (
         "1b08a2de424bcac43fcae6d056016f2ea3e5ffb770dc6911d6b5bf138fa6cdb3",
         "97ca9603babe0fc2da9286b14ddbd1167b3de17d1e0f4c4f089489f87187fcfe",
+        "511f3029bc30c72dd625882c67e4ad9e8e224707102fadd2f1579fed4087321f",
+        "9f054f69cfcdcab31debebeb5875c2973dd6c9af4463883fe9b30612d4239f3c",
+        "ce4e3b4ed73799bc3b57d5ceeda4b8081f2bb258e4610e432251739cb826770b",
+        "309f4066936adc2b9e7a07334c494ee52329468fd9d8f5606de4538a9fc53cf3",
     ),
     "matrixfact": (
         "154ac54425a6d6b39e541b8bc71a4b5b98e392ead2ce4ec92c962ef4b09f1359",
         "09977d28bd646987a6534de36a9358f77fc312098f74e576e0a7889bf0c31698",
+        "67b0236e43f35a19b69babaf8f9ae8592ac1c748dfa9f92804155639ae3d653b",
+        "3102130d878ae0662084fa7867b922f80c79ef4d934242a153f2640fd0e1a5c9",
+        "faddb4f9162f9770591edc91762adf4759e6b9ab17082b2512c945c8ebdaf6ad",
+        "ed519c6d1564ddde37bc7a181ad587812459f4db1ae030d772a6a2dacdb54271",
     ),
 }
 
@@ -140,7 +225,7 @@ class TestFamilies:
     def test_golden_digests(self, family):
         digests = tuple(
             bqp.instance_digest(bqp.generate_instance(family, m, n, seed))
-            for m, n, seed in ((6, 9, 0), (12, 5, 1))
+            for m, n, seed in GOLDEN_SHAPES
         )
         assert digests == GOLDEN_DIGESTS[family]
 

@@ -3,8 +3,9 @@
 Everything here recomputes objectives directly from the instance arrays
 with its own loops; none of it calls the package's search, enumeration
 or partitioning code, so a bug in a solver cannot hide inside its own
-certificate.  From the package it takes only the data types and the
-from-scratch cluster score `_mu_scratch`.
+certificate.  From the package it takes only the data types, the
+from-scratch cluster score `_mu_scratch` and the graph generator's
+constants and error type.
 """
 
 from itertools import combinations, product
@@ -13,6 +14,7 @@ import numpy as np
 
 from bqp import CooccurrenceGraph, Instance, RowPartition, Solution
 from bqp.rowmerge import _mu_scratch
+from bqp.testbed import DEGREE_RESAMPLE_FACTOR, BipartiteGraphSpec, GenerationError
 
 ORACLE_BIT_LIMIT = 24
 
@@ -261,3 +263,99 @@ def greedy_partition_reference_levels(
         clusters.append(merged)
         levels[len(clusters)] = RowPartition([c.copy() for c in clusters])
     return levels
+
+
+# The graph generator as it was written before its steps became
+# incremental: every step rescans the whole degree arrays with numpy.
+# `bqp.testbed` must make the same draws in the same order and return the
+# same arrays.
+
+
+def reference_balanced_degrees(
+    spec: BipartiteGraphSpec, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample degree sequences and rebalance until the sums agree.
+
+    Resampling alternates sides (left first); if it has not converged after
+    50*(m+n) attempts, a deterministic fixer walks the left sum toward the
+    right sum within its bounds and then adjusts the right side, which
+    always terminates for a feasible spec.
+    """
+    dl = rng.integers(spec.left_min, spec.left_max + 1, size=spec.m)
+    dr = rng.integers(spec.right_min, spec.right_max + 1, size=spec.n)
+    threshold = DEGREE_RESAMPLE_FACTOR * (spec.m + spec.n)
+    side = 0
+    attempts = 0
+    while dl.sum() != dr.sum() and attempts < threshold:
+        if side == 0:
+            dl[rng.integers(spec.m)] = rng.integers(spec.left_min, spec.left_max + 1)
+        else:
+            dr[rng.integers(spec.n)] = rng.integers(spec.right_min, spec.right_max + 1)
+        side ^= 1
+        attempts += 1
+
+    if dl.sum() != dr.sum():
+        delta = 1 if dl.sum() < dr.sum() else -1
+        while (
+            dl.sum() != dr.sum()
+            and spec.m * spec.left_min <= delta + dl.sum() <= spec.m * spec.left_max
+        ):
+            cand = np.flatnonzero(
+                (spec.left_min <= dl + delta) & (dl + delta <= spec.left_max)
+            )
+            if cand.size == 0:  # unreachable for a feasible spec
+                raise GenerationError("degree fixing stalled on the left side")
+            dl[cand[rng.integers(cand.size)]] += delta
+        while dl.sum() != dr.sum():
+            cand = np.flatnonzero(
+                (spec.right_min <= dr - delta) & (dr - delta <= spec.right_max)
+            )
+            if cand.size == 0:
+                raise GenerationError("degree fixing stalled on the right side")
+            dr[cand[rng.integers(cand.size)]] -= delta
+    return dl, dr
+
+
+def reference_realize_edges(
+    spec: BipartiteGraphSpec, dl: np.ndarray, dr: np.ndarray, rng: np.random.Generator
+) -> np.ndarray | None:
+    """Greedy edge placement with relocation fallback.
+
+    Picks a random deficient left node and joins it to a random right node
+    with spare capacity; when none is available, an existing edge of a
+    random non-adjacent right node is relocated.  Returns None on a dead
+    end (the sampled sequence was not realizable), letting the caller
+    resample the degrees.
+    """
+    m, n = spec.m, spec.n
+    adj = np.zeros((m, n), dtype=bool)
+    deg_l = np.zeros(m, dtype=np.int64)
+    deg_r = np.zeros(n, dtype=np.int64)
+    ops = 0
+    max_ops = 20 * int(dl.sum()) + 100
+    while True:
+        deficient = np.flatnonzero(deg_l < dl)
+        if deficient.size == 0:
+            break
+        ops += 1
+        if ops > max_ops:
+            return None
+        v = int(deficient[rng.integers(deficient.size)])
+        open_right = np.flatnonzero((deg_r < dr) & ~adj[v])
+        if open_right.size:
+            u = int(open_right[rng.integers(open_right.size)])
+        else:
+            movable = np.flatnonzero(~adj[v] & (dr > 0))
+            if movable.size == 0:
+                return None
+            u = int(movable[rng.integers(movable.size)])
+            nbrs = np.flatnonzero(adj[:, u])
+            v2 = int(nbrs[rng.integers(nbrs.size)])
+            adj[v2, u] = False
+            deg_l[v2] -= 1
+            deg_r[u] -= 1
+        adj[v, u] = True
+        deg_l[v] += 1
+        deg_r[u] += 1
+    left, right = np.nonzero(adj)  # row-major, deterministic weight order
+    return np.column_stack([left, right]).astype(np.int64)
