@@ -232,6 +232,8 @@ def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
     expr = parse_expr(args.alg)
     budget = _budget_from_args(args)
+    if not needs_budget(expr):
+        budget = None  # a budget-free expression would ignore it
     rng = np.random.default_rng(args.seed) if needs_rng(expr) else None
     t0 = time.perf_counter()
     sol = run_expr(inst, expr, budget=budget, rng=rng)

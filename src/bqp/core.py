@@ -190,12 +190,6 @@ class RowState:
         self.x[i] ^= 1
         self.value = self.cx + int(np.maximum(self.s, 0).sum())
 
-    def complement_value(self, rows: np.ndarray) -> int:
-        """Value after complementing x on `rows` (state unchanged)."""
-        signs = (1 - 2 * self.x[rows]).astype(np.int64)
-        s2 = self.s + signs @ self.inst.Q[rows]
-        return self.cx + int(signs @ self.inst.c[rows]) + int(np.maximum(s2, 0).sum())
-
     def complement(self, rows: np.ndarray) -> None:
         """Complement x on `rows`."""
         signs = (1 - 2 * self.x[rows]).astype(np.int64)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -72,39 +71,6 @@ class _Clock:
         return True
 
 
-def _first_improving_flip(st: RowState, pos: int) -> int | None:
-    """First single-row complement improving on st.value, scanning
-    circularly from `pos`; evaluated in chunks for speed."""
-    inst = st.inst
-    m = inst.m
-    order = np.concatenate([np.arange(pos, m), np.arange(0, pos)])
-    chunk = max(1, min(m, (1 << 18) // max(1, inst.n)))
-    for beg in range(0, m, chunk):
-        rows = order[beg:beg + chunk]
-        signs = (1 - 2 * st.x[rows]).astype(np.int64)
-        S = st.s[None, :] + signs[:, None] * inst.Q[rows]
-        vals = st.cx + signs * inst.c[rows] + np.maximum(S, 0).sum(axis=1)
-        better = np.flatnonzero(vals > st.value)
-        if better.size:
-            return int(rows[better[0]])
-    return None
-
-
-def _flip_descent(st: RowState) -> bool:
-    """First-improvement single-row flips with circular scan; the miss
-    counter resets on every improvement and the scan continues from the
-    accepted row.  Returns True if anything improved."""
-    improved = False
-    pos = 0
-    while True:
-        row = _first_improving_flip(st, pos)
-        if row is None:
-            return improved
-        st.flip(row)
-        pos = (row + 1) % st.inst.m
-        improved = True
-
-
 def flip_search(instance: Instance, solution: Solution) -> Solution:
     """Local search over single row flips with columns re-optimized.
 
@@ -112,35 +78,77 @@ def flip_search(instance: Instance, solution: Solution) -> Solution:
     carries the closed-form optimal columns for its rows.
     """
     st = RowState(instance, solution.x)
-    _flip_descent(st)
+    _portion_level(st, 1)
     return st.solution()
 
 
 def _portion_level(st: RowState, p: int) -> bool:
-    """One full first-improvement cycle over all size-p row subsets in
-    lexicographic order, wrapping until C(m, p) consecutive misses."""
-    if p == 1:
-        return _flip_descent(st)
-    m = st.inst.m
+    """One first-improvement cycle over the size-p row subsets in
+    lexicographic order, wrapping, until C(m, p) consecutive misses.
+
+    The first p-1 rows of the current subset are folded into base sums,
+    and every admissible last row is scored in one numpy batch, in chunks
+    of at most 2^18 cells and never past the misses still allowed.  The
+    first subset beating st.value is accepted and the scan resumes right
+    after it.  For p = 1 the prefix is empty and one batch wraps from the
+    row after the last hit round to the row before it.
+    """
+    inst = st.inst
+    m = inst.m
     total = comb(m, p)
+    chunk = max(1, (1 << 18) // inst.n)
+    ring = np.arange(2 * m) % m if p == 1 else np.arange(m)
+    prefix = list(range(p - 1))
+    last = p - 1
     misses = 0
     improved = False
-
-    def stream():
-        while True:
-            yield from combinations(range(m), p)
-
-    for subset in stream():
-        rows = np.fromiter(subset, dtype=np.int64, count=p)
-        if st.complement_value(rows) > st.value:
-            st.complement(rows)
-            misses = 0
-            improved = True
+    while True:
+        if prefix:
+            pre = np.array(prefix)
+            signs = (1 - 2 * st.x[pre]).astype(np.int64)
+            base_s = st.s + signs @ inst.Q[pre]
+            base_cx = st.cx + int(signs @ inst.c[pre])
         else:
-            misses += 1
-            if misses >= total:
+            base_s, base_cx = st.s, st.cx
+        stop = last + m if p == 1 else m  # only the singletons wrap within a batch
+        rows = ring[last:min(stop, last + total - misses)]
+        hit = None
+        for beg in range(0, rows.size, chunk):
+            block = rows[beg:beg + chunk]
+            signs = (1 - 2 * st.x[block]).astype(np.int64)
+            S = inst.Q[block]
+            S *= signs[:, None]
+            S += base_s
+            vals = base_cx + signs * inst.c[block] + np.maximum(S, 0, out=S).sum(axis=1)
+            better = np.flatnonzero(vals > st.value)
+            if better.size:
+                hit = int(block[better[0]])
                 break
-    return improved
+        if hit is None:
+            misses += rows.size
+            if misses >= total:
+                return improved
+            last = m
+        else:
+            if p == 1:
+                st.flip(hit)
+            else:
+                st.complement(np.array(prefix + [hit]))
+            improved = True
+            misses = 0
+            last = hit + 1
+        if p == 1:
+            last %= m
+        elif last == m:
+            # next (p-1)-subset of rows 0..m-2 in lexicographic order
+            t = p - 2
+            while t >= 0 and prefix[t] == m - p + t:
+                t -= 1
+            if t < 0:
+                prefix = list(range(p - 1))
+            else:
+                prefix[t:] = range(prefix[t] + 1, prefix[t] + p - t)
+            last = prefix[-1] + 1
 
 
 def exhaustive_portions(instance: Instance, solution: Solution, k: int) -> Solution:

@@ -113,25 +113,6 @@ def cooccurrence(solutions: Sequence) -> CooccurrenceGraph:
     return CooccurrenceGraph(weights=W, p=len(solutions))
 
 
-def _mu_scratch(graph: CooccurrenceGraph, rows: np.ndarray) -> int:
-    """Lightest internal edge of a cluster, recomputed from the graph."""
-    if rows.size == 1:
-        return graph.p
-    sub = graph.weights[np.ix_(rows, rows)]
-    iu = np.triu_indices(rows.size, 1)
-    return int(sub[iu].min())
-
-
-def cluster_weight(graph: CooccurrenceGraph, rows) -> int:
-    """Cluster score |C| * mu(C); singletons score |C| * p."""
-    rows = np.asarray(rows, dtype=np.int64)
-    return int(rows.size) * _mu_scratch(graph, rows)
-
-
-def partition_weight(graph: CooccurrenceGraph, partition: RowPartition) -> int:
-    return sum(cluster_weight(graph, c) for c in partition.clusters)
-
-
 class _GreedyMerger:
     """Dense-matrix agglomerative merging behind both greedy partitioners.
 
@@ -189,19 +170,6 @@ def greedy_partition(graph: CooccurrenceGraph, k: int) -> RowPartition:
     for _ in range(graph.m - k):
         merger.step()
     return merger.partition()
-
-
-def greedy_partition_levels(graph: CooccurrenceGraph, k_min: int = 1) -> dict[int, RowPartition]:
-    """Partitions for every cluster count from m down to k_min, from one
-    merge run (the greedy hierarchy is nested)."""
-    if not 1 <= k_min <= graph.m:
-        raise ValueError(f"k_min must lie in [1, {graph.m}], got {k_min}")
-    merger = _GreedyMerger(graph)
-    levels = {graph.m: merger.partition()}
-    for k in range(graph.m - 1, k_min - 1, -1):
-        merger.step()
-        levels[k] = merger.partition()
-    return levels
 
 
 def merge_reduce(instance: Instance, partition: RowPartition) -> Instance:

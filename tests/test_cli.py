@@ -65,6 +65,15 @@ class TestSolve:
         assert main(["solve", str(e1_file), "--alg", "P2", "--iters", "1"]) == 0
         assert "objective:  3" in capsys.readouterr().out
 
+    def test_budget_free_expression_reports_no_iterations(self, e1_file, capsys):
+        assert main(["solve", str(e1_file), "--alg", "Vex2", "--iters", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "iterations: -" in out and "iterations: 3" not in out
+
+    def test_budgeted_expression_reports_its_iterations(self, e1_file, capsys):
+        assert main(["solve", str(e1_file), "--alg", "P2", "--iters", "3"]) == 0
+        assert "iterations: 3" in capsys.readouterr().out
+
     def test_writes_certificate(self, e1_file, tmp_path, e1):
         sol_path = tmp_path / "g.bqpsol"
         assert main(["solve", str(e1_file), "--alg", "G", "--out", str(sol_path)]) == 0

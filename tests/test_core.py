@@ -194,7 +194,9 @@ class TestIncrementalState:
                 st_.flip(i)
             else:
                 rows = np.sort(rng.permutation(inst.m)[: int(rng.integers(1, 4))])
-                expected = st_.complement_value(rows)
+                x2 = st_.x.copy()
+                x2[rows] ^= 1
+                expected = reoptimized_value(inst, x2)
                 st_.complement(rows)
             assert st_.value == expected
         fresh = bqp.RowState(inst, st_.x)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import bqp
 from bqp import Budget, Instance
-from bqp.localsearch import _solve_restriction
+from bqp.localsearch import _portion_level, _solve_restriction
 
 from instances import random_instance, tight_family
 from test_core import small_instances
@@ -17,6 +17,8 @@ from verifiers import (
     assert_portions_optimal,
     exhaustive_optimum,
     naive_objective,
+    reference_portion_level,
+    reference_portions,
     reoptimized_value,
 )
 
@@ -175,6 +177,78 @@ class TestExhaustivePortions:
             sol = bqp.exhaustive_portions(inst, start, k)
             assert sol.objective >= start.objective
             assert_portions_optimal(inst, sol, k)
+
+
+def _walk_instances():
+    rng = np.random.default_rng(61)
+    insts = [random_instance(rng, 1, 5), random_instance(rng, 6, 1), random_instance(rng, 1, 1)]
+    insts += [
+        random_instance(rng, int(rng.integers(2, 13)), int(rng.integers(1, 31))) for _ in range(12)
+    ]
+    insts += [bqp.generate_instance("biclique", m, n, 4) for m, n in ((8, 12), (12, 30), (30, 12))]
+    insts.append(random_instance(rng, 10, 40_000))  # a batch spans several 2^18-cell chunks
+    return insts
+
+
+def _walk_id(inst):
+    return f"{inst.meta.get('family', 'rand')}-{inst.m}x{inst.n}"
+
+
+class TestPortionWalkMatchesReference:
+    """The batched walk accepts the same subsets, in the same order, as the
+    literal one-subset-at-a-time loops of `verifiers.reference_portions`."""
+
+    @pytest.fixture
+    def accepted(self, monkeypatch):
+        log = []
+        flip, complement = bqp.RowState.flip, bqp.RowState.complement
+
+        def record_flip(self, i):
+            log.append((int(i),))
+            flip(self, i)
+
+        def record_complement(self, rows):
+            log.append(tuple(int(r) for r in rows))
+            complement(self, rows)
+
+        monkeypatch.setattr(bqp.RowState, "flip", record_flip)
+        monkeypatch.setattr(bqp.RowState, "complement", record_complement)
+        return log
+
+    @pytest.mark.parametrize("inst", _walk_instances(), ids=_walk_id)
+    def test_same_accepted_subsets(self, inst, accepted):
+        rng = np.random.default_rng(62)
+        ks = sorted({k for k in (1, 2, 3) if k <= inst.m} | ({inst.m} if inst.m <= 8 else set()))
+        for _ in range(2):
+            start = bqp.random_solution(inst, 0.5, rng)
+            for k in ks:
+                x, expected = reference_portions(inst, start.x, k)
+                accepted.clear()
+                sol = bqp.exhaustive_portions(inst, start, k)
+                assert accepted == expected, f"k={k}"
+                assert np.array_equal(sol.x, x)
+                assert sol.objective == reoptimized_value(inst, x)
+            x, expected = reference_portions(inst, start.x, 1)
+            accepted.clear()
+            assert np.array_equal(bqp.flip_search(inst, start).x, x)
+            assert accepted == expected
+
+    @pytest.mark.parametrize("inst", _walk_instances(), ids=_walk_id)
+    def test_single_level_from_random_starts(self, inst, accepted):
+        # From a random x every size-p walk takes many hits, so the prefix
+        # advance and the resume point after a hit are both exercised.
+        rng = np.random.default_rng(63)
+        for p in range(1, min(inst.m, 4) + 1):
+            for _ in range(3):
+                x = bqp.random_solution(inst, 0.5, rng).x
+                expected = []
+                ref_x = x.copy()
+                ref_improved = reference_portion_level(inst, ref_x, p, expected)
+                accepted.clear()
+                state = bqp.RowState(inst, x)
+                assert _portion_level(state, p) == ref_improved
+                assert accepted == expected, f"p={p}"
+                assert np.array_equal(state.x, ref_x)
 
 
 class TestRandomPortions:

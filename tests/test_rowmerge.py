@@ -8,7 +8,14 @@ from bqp import Budget, CooccurrenceGraph, Instance, RowPartition
 from bqp.rowmerge import _GreedyMerger
 
 from instances import random_instance
-from verifiers import brute_force_oracle, greedy_partition_reference_levels, naive_objective
+from verifiers import (
+    brute_force_oracle,
+    greedy_partition_levels,
+    greedy_partition_reference_levels,
+    mu_scratch,
+    naive_objective,
+    partition_weight,
+)
 
 
 def random_cooccurrence(rng, m, p):
@@ -134,7 +141,7 @@ class TestGreedyPartition:
         g = CooccurrenceGraph(weights=W, p=p)
         for k in range(1, m + 1):
             part = bqp.greedy_partition(g, k)
-            assert bqp.partition_weight(g, part) == m * p
+            assert partition_weight(g, part) == m * p
 
     def test_two_heavy_pairs(self):
         W = np.zeros((4, 4), dtype=np.int64)
@@ -143,10 +150,10 @@ class TestGreedyPartition:
         g = CooccurrenceGraph(weights=W, p=3)
         part = bqp.greedy_partition(g, 2)
         assert [c.tolist() for c in part.clusters] == [[0, 1], [2, 3]]
-        assert bqp.partition_weight(g, part) == 12
+        assert partition_weight(g, part) == 12
         # enumeration over all 7 two-cluster partitions confirms the optimum
         best = max(
-            bqp.partition_weight(g, RowPartition([np.array(c) for c in cand]))
+            partition_weight(g, RowPartition([np.array(c) for c in cand]))
             for cand in all_partitions(range(4))
             if len(cand) == 2
         )
@@ -157,14 +164,12 @@ class TestGreedyPartition:
         for _ in range(25):
             m = int(rng.integers(2, 9))
             g = random_cooccurrence(rng, m, int(rng.integers(1, 6)))
-            fast = bqp.greedy_partition_levels(g)
+            fast = greedy_partition_levels(g)
             slow = greedy_partition_reference_levels(g)
             for k in range(1, m + 1):
                 assert fast[k] == slow[k], f"level {k} differs"
 
     def test_incremental_mu_matches_scratch_after_every_merge(self):
-        from bqp.rowmerge import _mu_scratch
-
         rng = np.random.default_rng(55)
         g = random_cooccurrence(rng, 10, 5)
         merger = _GreedyMerger(g)
@@ -173,14 +178,14 @@ class TestGreedyPartition:
             expected = np.full((g.m, g.m), np.iinfo(np.int64).min, dtype=np.int64)
             for a, rows_a in merger.members.items():
                 assert a == int(rows_a[0])
-                assert merger.mu[a] == _mu_scratch(g, rows_a)
+                assert merger.mu[a] == mu_scratch(g, rows_a)
                 for b, rows_b in merger.members.items():
                     if a < b:
                         union = np.concatenate([rows_a, rows_b])
                         expected[a, b] = (
-                            union.size * _mu_scratch(g, union)
-                            - rows_a.size * _mu_scratch(g, rows_a)
-                            - rows_b.size * _mu_scratch(g, rows_b)
+                            union.size * mu_scratch(g, union)
+                            - rows_a.size * mu_scratch(g, rows_a)
+                            - rows_b.size * mu_scratch(g, rows_b)
                         )
             # live upper-triangle pairs hold their merge score, all else the sentinel
             assert np.array_equal(merger.delta, expected)
@@ -210,7 +215,7 @@ class TestGreedyPartition:
                 clusters.setdefault(lab, []).append(row)
             baseline = RowPartition([np.array(c) for c in clusters.values()])
             part = bqp.greedy_partition(g, baseline.k)
-            assert bqp.partition_weight(g, part) >= bqp.partition_weight(g, baseline)
+            assert partition_weight(g, part) >= partition_weight(g, baseline)
 
     def test_rejects_bad_k(self):
         g = random_cooccurrence(np.random.default_rng(57), 4, 2)

@@ -22,6 +22,7 @@ EXPECTED = {
     "F(G)": ([4477, 4447, 8225, 3971, 2863, 3382, 14293, 14185, 39, 31], "d0471caabb296617"),
     "Vex1": ([4477, 4447, 8225, 3971, 2863, 3382, 14293, 14185, 39, 31], "d0471caabb296617"),
     "Vex2": ([4477, 4447, 8225, 3971, 2957, 3426, 14293, 14185, 40, 34], "82fa9abc91916399"),
+    "Vex3": ([4477, 4447, 8225, 5262, 2957, 3426, 14293, 14185, 40, 34], "593a6c01e4fb70e2"),
     "V3": ([4477, 4447, 8225, 3971, 2957, 3382, 14293, 14185, 40, 31], "9a66919b11078a79"),
     "P4": ([4477, 4447, 8225, 3971, 2957, 3382, 14293, 14185, 40, 32], "35fc0b81dc4c6c05"),
     "M(Vex1)": ([4477, 4518, 8225, 3124, 2957, 3426, 14293, 14185, 40, 34], "f411ae5418327275"),

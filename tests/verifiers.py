@@ -3,17 +3,19 @@
 Everything here recomputes objectives directly from the instance arrays
 with its own loops; none of it calls the package's search, enumeration
 or partitioning code, so a bug in a solver cannot hide inside its own
-certificate.  From the package it takes only the data types, the
-from-scratch cluster score `_mu_scratch` and the graph generator's
-constants and error type.
+certificate.  From the package it takes only the data types and the
+graph generator's constants and error type.  The one exception is
+`greedy_partition_levels`, a test-side driver of the package's own
+merger, which the literal partitioner below is checked against.
 """
 
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 
 from bqp import CooccurrenceGraph, Instance, RowPartition, Solution
-from bqp.rowmerge import _mu_scratch
+from bqp.rowmerge import _GreedyMerger
 from bqp.testbed import DEGREE_RESAMPLE_FACTOR, BipartiteGraphSpec, GenerationError
 
 ORACLE_BIT_LIMIT = 24
@@ -123,6 +125,81 @@ def assert_portions_optimal(inst: Instance, sol, k: int) -> None:
             ), f"portion {subset} improves"
 
 
+def _row_value(inst: Instance, x: np.ndarray) -> int:
+    """f(x, y(x)) recomputed from x alone."""
+    xl = x.astype(np.int64)
+    return int(inst.c @ xl) + int(np.maximum(inst.d + xl @ inst.Q, 0).sum())
+
+
+def reference_portion_level(inst: Instance, x: np.ndarray, p: int, accepted: list) -> bool:
+    """One first-improvement cycle over the size-p row subsets, written out
+    literally; complements x in place and appends every accepted subset.
+
+    p = 1 is the circular single-flip descent: scan from the row after the
+    last hit round to it, stop after a full round of misses.  p >= 2 walks
+    the endless `combinations` stream one subset at a time, resuming after
+    each hit and stopping after C(m, p) misses in a row.  Every candidate
+    is scored from scratch.  Returns True if anything improved.
+    """
+    m = inst.m
+    value = _row_value(inst, x)
+    improved = False
+    if p == 1:
+        pos = 0
+        while True:
+            for t in range(m):
+                i = (pos + t) % m
+                x[i] ^= 1
+                v = _row_value(inst, x)
+                if v > value:
+                    break
+                x[i] ^= 1
+            else:
+                return improved
+            value = v
+            accepted.append((i,))
+            pos = (i + 1) % m
+            improved = True
+    total = comb(m, p)
+    misses = 0
+
+    def stream():
+        while True:
+            yield from combinations(range(m), p)
+
+    for subset in stream():
+        rows = list(subset)
+        x[rows] ^= 1
+        v = _row_value(inst, x)
+        if v > value:
+            value = v
+            accepted.append(subset)
+            misses = 0
+            improved = True
+        else:
+            x[rows] ^= 1
+            misses += 1
+            if misses >= total:
+                break
+    return improved
+
+
+def reference_portions(inst: Instance, x, k: int) -> tuple[np.ndarray, list]:
+    """Depth-k exhaustive portions on top of `reference_portion_level`:
+    sizes in increasing order, and an improvement at size p > 1 restarts
+    from size 1.  Returns the final x and the accepted subsets in order."""
+    x = np.array(x, dtype=np.int8)
+    accepted: list = []
+    restart = True
+    while restart:
+        restart = False
+        for p in range(1, k + 1):
+            if reference_portion_level(inst, x, p, accepted) and p > 1:
+                restart = True
+                break
+    return x, accepted
+
+
 # Vectorized variants for the acceptance suite: same checks, direct numpy
 # formulas written here, still sharing no code with the package's searches.
 
@@ -220,6 +297,33 @@ def brute_force_oracle(instance: Instance) -> Solution:
     return Solution(best_x, best_y, best_val)
 
 
+def mu_scratch(graph: CooccurrenceGraph, rows: np.ndarray) -> int:
+    """Lightest internal edge of a cluster, recomputed from the graph."""
+    if rows.size == 1:
+        return graph.p
+    sub = graph.weights[np.ix_(rows, rows)]
+    iu = np.triu_indices(rows.size, 1)
+    return int(sub[iu].min())
+
+
+def partition_weight(graph: CooccurrenceGraph, partition: RowPartition) -> int:
+    """Sum of the cluster scores |C| * mu(C); singletons score p."""
+    return sum(int(c.size) * mu_scratch(graph, c) for c in partition.clusters)
+
+
+def greedy_partition_levels(graph: CooccurrenceGraph, k_min: int = 1) -> dict[int, RowPartition]:
+    """Partitions for every cluster count from m down to k_min, from one
+    run of the package's merger (the greedy hierarchy is nested)."""
+    if not 1 <= k_min <= graph.m:
+        raise ValueError(f"k_min must lie in [1, {graph.m}], got {k_min}")
+    merger = _GreedyMerger(graph)
+    levels = {graph.m: merger.partition()}
+    for k in range(graph.m - 1, k_min - 1, -1):
+        merger.step()
+        levels[k] = merger.partition()
+    return levels
+
+
 def greedy_partition_reference(graph: CooccurrenceGraph, k: int) -> RowPartition:
     """Literal per-step recomputation form of `bqp.greedy_partition`.
 
@@ -243,7 +347,7 @@ def greedy_partition_reference_levels(
     while len(clusters) > k_min:
         clusters.sort(key=lambda c: int(c[0]))
         # fresh per-step stats; nothing survives between steps
-        mus = [_mu_scratch(graph, c) for c in clusters]
+        mus = [mu_scratch(graph, c) for c in clusters]
         best = None
         best_pair = None
         for ai in range(len(clusters)):
