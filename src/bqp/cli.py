@@ -79,9 +79,10 @@ def bench(
 
     With `ref_expr`, each instance first times one reference run and the
     competitors get that wall-clock as their budget (the reference run is
-    reported as its own rows).  Gaps are computed against the best known
-    objective after merging this session's results, so a fresh store shows
-    gap 0 for the best run rather than an undefined column.
+    reported as its own rows).  Every run goes through `store.update`, in
+    row order (an in-memory store stands in when `store` is None), and the
+    gaps are computed against the store's best after the last run, so a
+    fresh store shows gap 0 for the best run rather than an undefined column.
     """
     if not instances or not exprs:
         raise ValueError("bench needs at least one instance and one expression")
@@ -94,18 +95,14 @@ def bench(
             f" (the reference included) and {MAX_INSTANCES} instances; beyond that the per-run"
             " seeds collide"
         )
-    session_best: dict[str, int] = {}
+    if store is None:
+        store = BestKnownStore()
     rows: list[BenchRow] = []
     row_digests: list[str] = []
 
     def record(label, inst, expr_text, seed, solution, elapsed_ms):
-        digest = instance_digest(inst)
-        cur = session_best.get(digest)
-        if cur is None or solution.objective > cur:
-            session_best[digest] = solution.objective
-        if store is not None:
-            store.update(inst, solution, algorithm=expr_text, seed=seed)
-        row_digests.append(digest)
+        store.update(inst, solution, algorithm=expr_text, seed=seed)
+        row_digests.append(instance_digest(inst))
         rows.append(
             BenchRow(
                 instance=label,
@@ -143,12 +140,7 @@ def bench(
                 record(label, inst, render_expr(expr), seed, sol, elapsed * 1000.0)
 
     for row, digest in zip(rows, row_digests):
-        best = session_best.get(digest)
-        if store is not None:
-            rec = store.best(digest)
-            if rec is not None:
-                best = rec.objective if best is None else max(best, rec.objective)
-        row.gap_pct = None if best is None else gap(row.objective, best)
+        row.gap_pct = gap(row.objective, store.best(digest).objective)
     return rows
 
 

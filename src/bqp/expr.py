@@ -11,6 +11,7 @@ case-sensitive and contain no whitespace.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,10 @@ class AlgorithmExpr:
     inner: "AlgorithmExpr | None" = None
 
 
-# Longest first so prefixes (R / Rn / Rm / Rls, V / Vex) match correctly.
-_NAMES = ("Rls", "Vex", "Rn", "Rm", "A", "F", "G", "M", "P", "R", "T", "V")
+# One node: a name (longest alternatives first), ASCII digits, and an
+# optional inner expression that runs to the final ")", since a node takes
+# at most one.
+_NODE = re.compile(r"(Rls|Vex|Rn|Rm|[AFGMPRTV])([0-9]*)(?:\((.*)\))?")
 _SUBSCRIPTED = {"P", "V", "R", "Rm", "Rls", "Vex"}
 _INNER_REQUIRED = {"M"}
 _INNER_ALLOWED = {"A", "F", "Vex", "P", "Rls", "M"}
@@ -47,30 +50,15 @@ _BUDGETED = {"P", "M", "Rm", "Rls"}
 _RANDOMIZED = {"Rn", "P", "M", "V", "R", "Rm", "Rls"}
 
 
-def _parse(text: str, pos: int) -> tuple[AlgorithmExpr, int]:
-    name = None
-    for cand in _NAMES:
-        if text.startswith(cand, pos):
-            name = cand
-            break
-    if name is None:
-        raise ExprError(f"unknown algorithm name at position {pos} in {text!r}")
-    pos += len(name)
-
-    subscript = None
-    digits = ""
-    while pos < len(text) and text[pos].isdigit():
-        digits += text[pos]
-        pos += 1
-    if digits:
-        subscript = int(digits)
-
-    inner = None
-    if pos < len(text) and text[pos] == "(":
-        inner, pos = _parse(text, pos + 1)
-        if pos >= len(text) or text[pos] != ")":
-            raise ExprError(f"unterminated '(' in {text!r}")
-        pos += 1
+def parse_expr(text: str) -> AlgorithmExpr:
+    if any(ch.isspace() for ch in text):
+        raise ExprError("expressions must not contain whitespace")
+    match = _NODE.fullmatch(text)
+    if match is None:
+        raise ExprError(f"malformed expression {text!r}")
+    name, digits, inner_text = match.groups()
+    subscript = int(digits) if digits else None
+    inner = None if inner_text is None else parse_expr(inner_text)
 
     if name in _SUBSCRIPTED and subscript is None:
         raise ExprError(f"{name} requires a subscript, e.g. {name}2")
@@ -82,16 +70,7 @@ def _parse(text: str, pos: int) -> tuple[AlgorithmExpr, int]:
         raise ExprError(f"{name} requires an inner expression, e.g. M(A)")
     if inner is not None and name not in _INNER_ALLOWED:
         raise ExprError(f"{name} does not take an inner expression")
-    return AlgorithmExpr(name, subscript, inner), pos
-
-
-def parse_expr(text: str) -> AlgorithmExpr:
-    if any(ch.isspace() for ch in text):
-        raise ExprError("expressions must not contain whitespace")
-    expr, pos = _parse(text, 0)
-    if pos != len(text):
-        raise ExprError(f"trailing characters {text[pos:]!r} after expression")
-    return expr
+    return AlgorithmExpr(name, subscript, inner)
 
 
 def render_expr(expr: AlgorithmExpr) -> str:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -82,27 +83,36 @@ def flip_search(instance: Instance, solution: Solution) -> Solution:
     return st.solution()
 
 
+def _cycled_prefixes(m: int, p: int):
+    """The (p-1)-subsets of rows 0..m-2 in lexicographic order, forever."""
+    while True:
+        yield from combinations(range(m - 1), p - 1)
+
+
 def _portion_level(st: RowState, p: int) -> bool:
     """One first-improvement cycle over the size-p row subsets in
     lexicographic order, wrapping, until C(m, p) consecutive misses.
 
     The first p-1 rows of the current subset are folded into base sums,
-    and every admissible last row is scored in one numpy batch, in chunks
-    of at most 2^18 cells and never past the misses still allowed.  The
-    first subset beating st.value is accepted and the scan resumes right
-    after it.  For p = 1 the prefix is empty and one batch wraps from the
-    row after the last hit round to the row before it.
+    and every admissible last row, from the one after the prefix (or after
+    the last hit) to row m-1, is scored in one numpy batch, in chunks of
+    at most 2^18 cells and never past the misses still allowed.  The first
+    subset beating st.value is accepted and the scan resumes right after
+    it.  For p = 1 the prefix is empty, so wrapping round from row m-1 to
+    row 0 is an ordinary prefix advance.
     """
     inst = st.inst
     m = inst.m
     total = comb(m, p)
     chunk = max(1, (1 << 18) // inst.n)
-    ring = np.arange(2 * m) % m if p == 1 else np.arange(m)
-    prefix = list(range(p - 1))
-    last = p - 1
+    prefixes = _cycled_prefixes(m, p)
     misses = 0
     improved = False
+    last = m
     while True:
+        if last == m:
+            prefix = next(prefixes)
+            last = max(prefix, default=-1) + 1
         if prefix:
             pre = np.array(prefix)
             signs = (1 - 2 * st.x[pre]).astype(np.int64)
@@ -110,8 +120,7 @@ def _portion_level(st: RowState, p: int) -> bool:
             base_cx = st.cx + int(signs @ inst.c[pre])
         else:
             base_s, base_cx = st.s, st.cx
-        stop = last + m if p == 1 else m  # only the singletons wrap within a batch
-        rows = ring[last:min(stop, last + total - misses)]
+        rows = np.arange(last, min(m, last + total - misses))
         hit = None
         for beg in range(0, rows.size, chunk):
             block = rows[beg:beg + chunk]
@@ -130,25 +139,10 @@ def _portion_level(st: RowState, p: int) -> bool:
                 return improved
             last = m
         else:
-            if p == 1:
-                st.flip(hit)
-            else:
-                st.complement(np.array(prefix + [hit]))
+            st.complement(np.array(prefix + (hit,)))
             improved = True
             misses = 0
             last = hit + 1
-        if p == 1:
-            last %= m
-        elif last == m:
-            # next (p-1)-subset of rows 0..m-2 in lexicographic order
-            t = p - 2
-            while t >= 0 and prefix[t] == m - p + t:
-                t -= 1
-            if t < 0:
-                prefix = list(range(p - 1))
-            else:
-                prefix[t:] = range(prefix[t] + 1, prefix[t] + p - t)
-            last = prefix[-1] + 1
 
 
 def exhaustive_portions(instance: Instance, solution: Solution, k: int) -> Solution:
@@ -157,10 +151,18 @@ def exhaustive_portions(instance: Instance, solution: Solution, k: int) -> Solut
     Subset sizes are explored in increasing order; an improvement found at
     size p > 1 finishes that size class and then restarts from size 1,
     while size-1 improvements just continue the scan.  The result admits
-    no improving complement of any subset of at most k rows.
+    no improving complement of any subset of at most k rows.  A size class
+    of more than 2^RESTRICTION_ROW_LIMIT subsets is refused.
     """
-    if not 1 <= k <= instance.m:
-        raise ValueError(f"k must lie in [1, {instance.m}], got {k}")
+    m = instance.m
+    if not 1 <= k <= m:
+        raise ValueError(f"k must lie in [1, {m}], got {k}")
+    widest = min(k, m // 2)  # C(m, p) peaks at p = m // 2
+    if comb(m, widest) > 1 << RESTRICTION_ROW_LIMIT:
+        raise ValueError(
+            f"k = {k} on {m} rows scans C({m}, {widest}) row subsets per cycle,"
+            f" more than 2^{RESTRICTION_ROW_LIMIT}"
+        )
     st = RowState(instance, solution.x)
     restart = True
     while restart:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import fcntl
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .core import Instance, Solution, evaluate
@@ -32,19 +32,7 @@ class BestRecord:
     timestamp: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "digest": self.digest,
-                "label": self.label,
-                "objective": self.objective,
-                "x": self.x,
-                "y": self.y,
-                "algorithm": self.algorithm,
-                "seed": self.seed,
-                "timestamp": self.timestamp,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str | bytes) -> "BestRecord":

@@ -237,9 +237,9 @@ def generate_graph(spec: BipartiteGraphSpec, rng: np.random.Generator) -> Genera
     if edges is None:
         raise GenerationError("could not realize a graph for the sampled degree sequences")
     weights = normal_integers(weight_rng, spec.weight_mean, spec.weight_sigma, len(edges))
-    full = np.column_stack([edges, weights]) if len(edges) else np.zeros((0, 3), dtype=np.int64)
-    left_deg = np.bincount(edges[:, 0], minlength=spec.m) if len(edges) else np.zeros(spec.m, dtype=np.int64)
-    right_deg = np.bincount(edges[:, 1], minlength=spec.n) if len(edges) else np.zeros(spec.n, dtype=np.int64)
+    full = np.column_stack([edges, weights])
+    left_deg = np.bincount(edges[:, 0], minlength=spec.m)
+    right_deg = np.bincount(edges[:, 1], minlength=spec.n)
     return GeneratedGraph(edges=full, left_degrees=left_deg, right_degrees=right_deg)
 
 
@@ -284,16 +284,14 @@ def generate_instance(family: str, m: int, n: int, seed: int) -> Instance:
 
     if family == "biclique":
         # Any single non-edge penalty must dominate all attainable positive mass.
-        penalty = 1 + int(np.maximum(graph.edges[:, 2], 0).sum()) if len(graph.edges) else 1
+        penalty = 1 + int(np.maximum(graph.edges[:, 2], 0).sum())
         Q = np.full((m, n), -penalty, dtype=np.int64)
-        if len(graph.edges):
-            Q[graph.edges[:, 0], graph.edges[:, 1]] = graph.edges[:, 2]
+        Q[graph.edges[:, 0], graph.edges[:, 1]] = graph.edges[:, 2]
         meta["M"] = str(penalty)
         return Instance(Q, zeros_m, zeros_n, meta)
 
     Q = np.zeros((m, n), dtype=np.int64)
-    if len(graph.edges):
-        Q[graph.edges[:, 0], graph.edges[:, 1]] = graph.edges[:, 2]
+    Q[graph.edges[:, 0], graph.edges[:, 1]] = graph.edges[:, 2]
 
     if family == "maxinduced":
         return Instance(Q, zeros_m, zeros_n, meta)

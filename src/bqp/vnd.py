@@ -10,14 +10,13 @@ import numpy as np
 from .construct import greedy, random_solution
 from .core import Instance, RowState, Solution
 from .localsearch import (
+    RESTRICTION_ROW_LIMIT,
     Budget,
     _solve_restriction,
     alternating,
     exhaustive_portions,
     flip_search,
 )
-
-DEFAULT_PORTION_CAP = 6
 
 Improver = Callable[[Instance, Solution, np.random.Generator], Solution]
 
@@ -34,11 +33,7 @@ class MultiStartRecord:
         return self.best.objective
 
 
-def vnd(
-    instance: Instance,
-    p_max: int = DEFAULT_PORTION_CAP,
-    rng: np.random.Generator | None = None,
-) -> Solution:
+def vnd(instance: Instance, p_max: int, rng: np.random.Generator) -> Solution:
     """Variable neighborhood descent from a greedy start.
 
     Each round runs the alternating and flip searches; if flip improved,
@@ -52,10 +47,8 @@ def vnd(
     size-k sweeps (p < k) decays like m^(1-p), already below 6% at m=100,
     k=3, p=2, so the union over sizes is much larger than any single level.
     """
-    if not 2 <= p_max <= 20:
-        raise ValueError(f"p_max must lie in [2, 20], got {p_max}")
-    if rng is None:
-        rng = np.random.default_rng()
+    if not 2 <= p_max <= RESTRICTION_ROW_LIMIT:
+        raise ValueError(f"p_max must lie in [2, {RESTRICTION_ROW_LIMIT}], got {p_max}")
     m = instance.m
     sol = greedy(instance)
     lam = True
@@ -86,8 +79,6 @@ def vnd_exhaustive(instance: Instance, solution: Solution, k: int) -> Solution:
     """Alternate the alternating search and exhaustive portions until
     neither improves.  Pure column moves are never explored inside the
     portions stage; the alternating stage owns them."""
-    if not 1 <= k <= instance.m:
-        raise ValueError(f"k must lie in [1, {instance.m}], got {k}")
     sol = solution
     while True:
         before = sol.objective

@@ -74,6 +74,13 @@ class TestSolve:
         assert main(["solve", str(e1_file), "--alg", "P2", "--iters", "3"]) == 0
         assert "iterations: 3" in capsys.readouterr().out
 
+    def test_oversized_vex_is_a_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "r40.bqp"
+        path.write_text(bqp.write_instance(bqp.generate_instance("random", 40, 5, 0)))
+        assert main(["solve", str(path), "--alg", "Vex20"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2^20" in err and err.count("\n") == 1
+
     def test_writes_certificate(self, e1_file, tmp_path, e1):
         sol_path = tmp_path / "g.bqpsol"
         assert main(["solve", str(e1_file), "--alg", "G", "--out", str(sol_path)]) == 0
@@ -276,6 +283,41 @@ class TestBenchCommand:
         assert main(args) == 0
         assert store_path.read_text() == first  # greedy never beats the stored 2
         assert bqp.BestKnownStore(store_path).best_objective(e1) == 2
+
+    @pytest.mark.parametrize("ref", [None, "G"])
+    def test_store_sees_every_row_once_in_order(self, e1, ref):
+        class Recording(bqp.BestKnownStore):
+            def __init__(self):
+                super().__init__()
+                self.calls = []
+
+            def update(self, instance, solution, algorithm="", seed=None):
+                self.calls.append((algorithm, seed, solution.objective))
+                return super().update(instance, solution, algorithm=algorithm, seed=seed)
+
+        store = Recording()
+        other = bqp.generate_instance("random", 4, 5, 0)
+        rows = bench(
+            [("e1", e1), ("other", other)],
+            [bqp.parse_expr("T"), bqp.parse_expr("M(F)")],
+            repetitions=2,
+            master_seed=3,
+            budget=bqp.Budget.iters(2),
+            ref_expr=None if ref is None else bqp.parse_expr(ref),
+            store=store,
+        )
+        assert len(rows) == 2 * (4 + (ref is not None))
+        assert store.calls == [(r.alg, r.seed, r.objective) for r in rows]
+
+    def test_stale_objective_refused_without_a_store(self, e1, monkeypatch):
+        def stale(instance, expr, budget=None, rng=None):
+            sol = bqp.greedy(instance)
+            sol.objective += 1
+            return sol
+
+        monkeypatch.setattr(bqp.cli, "run_expr", stale)
+        with pytest.raises(bqp.CertificateError):
+            bench([("e1", e1)], [bqp.parse_expr("G")], 1, 0)
 
     def test_digest_serialises_each_instance_once(self, e1_file, tmp_path, monkeypatch):
         other = tmp_path / "other.bqp"

@@ -51,6 +51,12 @@ class TestParse:
         with pytest.raises(ExprError):
             bqp.parse_expr("Q3")
 
+    @pytest.mark.parametrize("bad", ["P\u00b2", "A()", "A(G)(G)", "Vex\u0662"])
+    def test_malformed_raises_expr_error(self, bad):
+        # non-ASCII digits are no subscript, and int() must never see them
+        with pytest.raises(ExprError):
+            bqp.parse_expr(bad)
+
     def test_case_sensitive(self):
         with pytest.raises(ExprError):
             bqp.parse_expr("a(G)")

@@ -168,6 +168,16 @@ class TestExhaustivePortions:
         with pytest.raises(ValueError):
             bqp.exhaustive_portions(e1, bqp.greedy(e1), 3)
 
+    @pytest.mark.parametrize("m, k", [(25, 8), (40, 20), (40, 40)])
+    def test_refuses_more_than_2_to_the_20_subsets(self, m, k):
+        # C(25, 8) = 1,081,575 is the first size class past 2^20 at 25 rows;
+        # k = m caps at the middle class C(40, 20), which every cycle scans.
+        inst = random_instance(np.random.default_rng(26), m, 3)
+        with pytest.raises(ValueError, match="2\\^20"):
+            bqp.exhaustive_portions(inst, bqp.greedy(inst), k)
+        with pytest.raises(ValueError, match="2\\^20"):
+            bqp.vnd_exhaustive(inst, bqp.greedy(inst), k)
+
     def test_certificates_on_random_instances(self):
         rng = np.random.default_rng(25)
         for _ in range(20):

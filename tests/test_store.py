@@ -3,6 +3,7 @@ import pytest
 
 import bqp
 from bqp import BestKnownStore, CertificateError, FormatError
+from bqp.store import BestRecord
 
 from instances import random_instance
 
@@ -45,6 +46,17 @@ class TestBestKnownStore:
         tampered = BestKnownStore(path)
         with pytest.raises(CertificateError):
             tampered.verify(e1)
+
+    def test_record_json_line_is_golden(self):
+        record = BestRecord(
+            digest="ab12", label="random-2x3-s0", objective=-7, x="01", y="110",
+            algorithm="M(Vex1)", seed=None, timestamp=1.5,
+        )
+        assert record.to_json() == (
+            '{"algorithm": "M(Vex1)", "digest": "ab12", "label": "random-2x3-s0",'
+            ' "objective": -7, "seed": null, "timestamp": 1.5, "x": "01", "y": "110"}'
+        )
+        assert BestRecord.from_json(record.to_json()) == record
 
     def test_in_memory_store(self, e1):
         store = BestKnownStore(None)

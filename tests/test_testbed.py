@@ -23,6 +23,13 @@ class TestGraphGenerator:
         graph = bqp.generate_graph(spec, np.random.default_rng(1))
         assert len(graph.edges) == 1
 
+    def test_edgeless_graph(self):
+        spec = BipartiteGraphSpec(2, 3, 0, 0, 0, 0, weight_mean=0)
+        graph = bqp.generate_graph(spec, np.random.default_rng(0))
+        assert graph.edges.shape == (0, 3)
+        assert graph.left_degrees.tolist() == [0, 0]
+        assert graph.right_degrees.tolist() == [0, 0, 0]
+
     def test_seeded_structure_properties(self):
         spec = BipartiteGraphSpec(5, 5, 1, 5, 1, 5, weight_mean=0)
         graph = bqp.generate_graph(spec, np.random.default_rng(42))
