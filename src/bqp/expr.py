@@ -20,6 +20,7 @@ from .construct import greedy, random_solution, trivial_solution
 from .core import Instance, Solution
 from .localsearch import Budget, alternating, flip_search, random_portions
 from .rowmerge import (
+    _check_merge_k,
     clustering_row_merge,
     default_source_pool,
     multistart_row_merge,
@@ -147,6 +148,7 @@ def run_expr(
     if name == "V":
         return vnd(instance, p_max=expr.subscript, rng=rng)
     if name == "R":
+        _check_merge_k(instance, expr.subscript)  # before the source pool is built
         return clustering_row_merge(instance, default_source_pool(instance, rng), expr.subscript)
     if name == "Rm":
         return multistart_row_merge(instance, expr.subscript, budget, rng)

@@ -7,7 +7,10 @@ touched row instead of a full re-evaluation.  Pure y-moves are never
 explored by these searches; the final solution re-optimizes the columns
 in closed form.  `alternating` moves both sides and keeps ties at the
 current bit: its rows move through a `RowState`, and it keeps only the
-explicit columns and their row sums.
+explicit columns and their row sums.  The two lockstep kernels run
+`alternating` and the flip scan on a block of members at once, one member
+per matrix row; `rowmerge.default_source_pool` polishes its starts with
+them.
 """
 
 from __future__ import annotations
@@ -247,3 +250,78 @@ def alternating(instance: Instance, solution: Solution) -> Solution:
             break
         passes += 1
     return Solution(st.x.copy(), y, st.cx + int(st.s @ y))
+
+
+def _lockstep_alternating(Q, c, x, y, s, cx) -> None:
+    """`alternating` on a block of members in lockstep, in place.
+
+    Member b is row b of x (B x m), of y and s = d + x Q (B x n) and of cx,
+    all int64.  Each pass is one matmul for the whole block, with the same
+    strict sign rule, ties kept.  A member whose pass after the first flips
+    nothing is at a fixed point, so its later passes flip nothing either,
+    and the block stops at the first pass where no member flips.
+    """
+    w = c + y @ Q.T
+    passes = 0
+    while True:
+        if passes % 2 == 0:
+            flips = np.sign(s) == 1 - 2 * y
+            moved = flips.any()
+            if moved:
+                w += (flips * (1 - 2 * y)) @ Q.T
+                y ^= flips
+        else:
+            flips = np.sign(w) == 1 - 2 * x
+            moved = flips.any()
+            if moved:
+                step = flips * (1 - 2 * x)
+                s += step @ Q
+                cx += step @ c
+                x ^= flips
+        if passes and not moved:
+            return
+        passes += 1
+
+
+def _lockstep_flips(Q, c, x, s, cx, cells: int) -> np.ndarray:
+    """`_portion_level(·, 1)` on a block of members in lockstep, in place.
+
+    Takes the block as `_lockstep_alternating` does and returns each
+    member's value f(x, y(x)).  Every member scans its rows cyclically from
+    a pointer, as the single scan does, and stops after m misses in a row.
+    A step scores a window of rows from the pointer of every member still
+    scanning, with as many rows as keep the batch within `cells` cells (at
+    least one, at most m).  Each member takes its first row that beats its value and moves its
+    pointer past that row.  A window may run past the misses a member has
+    left, into rows already missed since its last move; with its state
+    unchanged, those rows miss again, so the first hit is the same.
+    """
+    m, n = Q.shape
+    value = cx + np.maximum(s, 0).sum(axis=1)
+    ptr = np.zeros_like(cx)
+    misses = np.zeros_like(cx)
+    live = np.arange(x.shape[0])
+    while live.size:
+        offsets = np.arange(min(m, max(1, cells // (live.size * n))))
+        rows = (ptr[live, None] + offsets) % m
+        signs = 1 - 2 * x[live[:, None], rows]
+        S = np.take(Q, rows, axis=0)
+        S *= signs[..., None]
+        S += s[live, None]
+        vals = np.maximum(S, 0, out=S).sum(axis=2) + signs * c[rows] + cx[live, None]
+        better = vals > value[live, None]
+        first = better.argmax(axis=1)
+        hit = better[np.arange(live.size), first]
+        b, f = live[hit], first[hit]
+        r, g = rows[hit, f], signs[hit, f]
+        s[b] += g[:, None] * Q[r]
+        cx[b] += g * c[r]
+        x[b, r] ^= 1
+        value[b] = vals[hit, f]
+        ptr[b] = r + 1
+        misses[b] = 0
+        b = live[~hit]
+        ptr[b] += offsets.size
+        misses[b] += offsets.size
+        live = live[misses[live] < m]
+    return value

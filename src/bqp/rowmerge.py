@@ -8,7 +8,9 @@ scored by its size times its lightest internal edge, and a greedy
 agglomerative pass maximizes the total score.  The greedy partitioner
 keeps every live pair's merge score in one dense m x m matrix; the test
 suite checks it against a literal recompute-everything version of the
-same greedy rule.
+same greedy rule.  The default pool polishes its random starts in
+lockstep, one matrix row per start, and the test suite checks it against
+polishing them one at a time.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ import numpy as np
 from .construct import greedy, random_solution
 from .core import Instance, RowState, Solution
 from .exact import enumerate_exact
-from .localsearch import Budget, flip_search
+from .localsearch import Budget, _lockstep_alternating, _lockstep_flips, flip_search
 from .vnd import vnd_exhaustive
 
 MERGE_ENUMERATION_LIMIT = 20  # merged problems solved exactly up to 2^k
 DEFAULT_SOURCE_POOL = 100
+_POOL_CELLS = 1 << 14  # int64 cells in one lockstep block's state and in one scoring batch
 _NO_PAIR = np.iinfo(np.int64).min  # merge-score entry of a dead or mirrored pair
 
 
@@ -202,6 +205,13 @@ def _solve_merged_flip_greedy(reduced: Instance) -> Solution:
     return flip_search(reduced, greedy(reduced))
 
 
+def _check_merge_k(instance: Instance, k: int) -> None:
+    """Refuse a cluster count that `clustering_row_merge` cannot enumerate."""
+    top = min(instance.m, MERGE_ENUMERATION_LIMIT)
+    if not 1 <= k <= top:
+        raise ValueError(f"k must lie in [1, {top}], got {k}")
+
+
 def clustering_row_merge(instance: Instance, source_solutions: Sequence, k: int) -> Solution:
     """Merge rows that the source pool agrees on and solve the result exactly.
 
@@ -210,10 +220,7 @@ def clustering_row_merge(instance: Instance, source_solutions: Sequence, k: int)
     back, then polishes with depth-1 exhaustive portions interleaved with
     the alternating search.
     """
-    if not 1 <= k <= min(instance.m, MERGE_ENUMERATION_LIMIT):
-        raise ValueError(
-            f"k must lie in [1, {min(instance.m, MERGE_ENUMERATION_LIMIT)}], got {k}"
-        )
+    _check_merge_k(instance, k)
     graph = cooccurrence(source_solutions)
     if graph.m != instance.m:
         raise ValueError("source solutions do not match the instance row count")
@@ -227,14 +234,44 @@ def clustering_row_merge(instance: Instance, source_solutions: Sequence, k: int)
 def default_source_pool(
     instance: Instance, rng: np.random.Generator, p: int = DEFAULT_SOURCE_POOL
 ) -> list[Solution]:
-    """Synthetic source solutions: p random solutions, each polished with
-    the depth-1 exhaustive portions / alternating sweep."""
+    """Synthetic source solutions: p random solutions, each polished by
+    the depth-1 `vnd_exhaustive`.
+
+    All p starts are drawn first, in order, each from its own
+    `rng.spawn(1)[0]` child.  The descents then run in lockstep (see
+    `_lockstep_vnd1`) on the fewest blocks of nearly equal size whose
+    state, about max(m, n) int64 cells per member, fits in `_POOL_CELLS`
+    cells; each scoring batch fits in as many.  No randomness is drawn
+    after the starts, so the pool is the one that polishing each start in
+    turn gives, whatever the block size.
+    """
+    if p < 1:
+        raise ValueError(f"the source pool needs at least one solution, got p = {p}")
+    starts = [random_solution(instance, 0.5, rng.spawn(1)[0]) for _ in range(p)]
+    blocks = -(-p // max(1, _POOL_CELLS // max(instance.m, instance.n)))
     pool = []
-    for _ in range(p):
-        child = rng.spawn(1)[0]
-        sol = random_solution(instance, 0.5, child)
-        pool.append(vnd_exhaustive(instance, sol, 1))
+    for i in range(blocks):
+        pool += _lockstep_vnd1(instance, starts[i * p // blocks : (i + 1) * p // blocks])
     return pool
+
+
+def _lockstep_vnd1(instance: Instance, starts: list[Solution]) -> list[Solution]:
+    """`vnd_exhaustive(instance, start, 1)` for every start, in lockstep.
+
+    One round suffices: a round ends flip-optimal with y = [s > 0], so the
+    next round's alternating passes flip no column (y already follows s)
+    and no row (a row its sign rule would flip would also be an improving
+    flip), and its flip scan misses every row.  The objective does not
+    rise, so that round would be the last and would change nothing.
+    """
+    Q, c = instance.Q, instance.c
+    x = np.array([sol.x for sol in starts], dtype=np.int64)
+    y = np.array([sol.y for sol in starts], dtype=np.int64)
+    s = instance.d + x @ Q
+    cx = x @ c
+    _lockstep_alternating(Q, c, x, y, s, cx)
+    value = _lockstep_flips(Q, c, x, s, cx, _POOL_CELLS)
+    return [Solution(x[b], s[b] > 0, value[b]) for b in range(len(starts))]
 
 
 def multistart_row_merge(

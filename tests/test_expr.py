@@ -171,3 +171,12 @@ class TestRun:
         inst = random_instance(np.random.default_rng(83), 5, 4)
         sol = bqp.run_expr(inst, bqp.parse_expr("R2"), rng=np.random.default_rng(2))
         assert sol.objective >= 0
+
+    @pytest.mark.parametrize("shape, text, top", [((4, 3), "R5", 4), ((30, 2), "R21", 20)])
+    def test_bad_merge_k_fails_before_the_source_pool(self, monkeypatch, shape, text, top):
+        built = []
+        monkeypatch.setattr(bqp.expr, "default_source_pool", lambda *args: built.append(args))
+        inst = random_instance(np.random.default_rng(84), *shape)
+        with pytest.raises(ValueError, match=rf"k must lie in \[1, {top}\]"):
+            bqp.run_expr(inst, bqp.parse_expr(text), rng=np.random.default_rng(3))
+        assert built == []

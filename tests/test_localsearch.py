@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import bqp
 from bqp import Budget, Instance
-from bqp.localsearch import _portion_level, _solve_restriction
+from bqp.localsearch import _lockstep_alternating, _portion_level, _solve_restriction
 
 from instances import random_instance, tight_family
 from test_core import small_instances
@@ -102,6 +102,28 @@ class TestAlternating:
             start = bqp.random_solution(inst, 0.5, rng)
             sol = bqp.alternating(inst, start)
             assert_alternating_optimal(inst, sol)
+
+
+class TestLockstepAlternating:
+    def test_matches_alternating_member_by_member(self):
+        # a block of random starts, and a block of the same rows with
+        # y = [s > 0], whose first (column) pass flips nothing while a row
+        # pass still may
+        rng = np.random.default_rng(24)
+        for m, n in ((1, 1), (1, 6), (6, 1), (7, 9), (9, 7)):
+            inst = random_instance(rng, m, n, lo=-5, hi=5)
+            starts = [bqp.random_solution(inst, 0.5, rng) for _ in range(10)]
+            for block in (starts, [bqp.RowState(inst, start.x).solution() for start in starts]):
+                x = np.array([start.x for start in block], dtype=np.int64)
+                y = np.array([start.y for start in block], dtype=np.int64)
+                s = inst.d + x @ inst.Q
+                cx = x @ inst.c
+                _lockstep_alternating(inst.Q, inst.c, x, y, s, cx)
+                for b, start in enumerate(block):
+                    want = bqp.alternating(inst, start)
+                    assert np.array_equal(x[b], want.x) and np.array_equal(y[b], want.y)
+                    assert np.array_equal(s[b], inst.d + x[b] @ inst.Q)
+                    assert cx[b] + s[b] @ y[b] == want.objective
 
 
 class TestFlipSearch:

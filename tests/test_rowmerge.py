@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bqp
-from bqp import Budget, CooccurrenceGraph, Instance, RowPartition
+from bqp import Budget, CooccurrenceGraph, Instance, RowPartition, rowmerge
 from bqp.rowmerge import _GreedyMerger
 
 from instances import random_instance
@@ -15,6 +15,7 @@ from verifiers import (
     mu_scratch,
     naive_objective,
     partition_weight,
+    reference_source_pool,
 )
 
 
@@ -282,6 +283,59 @@ class TestClusteringRowMerge:
     def test_rejects_bad_k(self, e1):
         with pytest.raises(ValueError):
             bqp.clustering_row_merge(e1, [bqp.trivial_solution(e1)], 3)
+
+
+@pytest.fixture(scope="module")
+def pool_testbed():
+    return {
+        family: [bqp.generate_instance(family, m, n, 4) for m, n in ((12, 30), (30, 12))]
+        for family in bqp.FAMILIES
+    }
+
+
+class TestDefaultSourcePool:
+    """The lockstep pool against the literal per-start loop, member by member."""
+
+    @staticmethod
+    def assert_matches_reference(inst, seed, p):
+        pool = rowmerge.default_source_pool(inst, np.random.default_rng(seed), p)
+        reference = reference_source_pool(inst, np.random.default_rng(seed), p)
+        assert len(pool) == p
+        for got, want in zip(pool, reference):
+            assert got == want  # x, y and objective
+
+    @pytest.mark.parametrize("family", bqp.FAMILIES)
+    def test_matches_per_start_loop(self, pool_testbed, family):
+        for inst in pool_testbed[family]:
+            for seed in (0, 1, 2):
+                self.assert_matches_reference(inst, seed, 20)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1)])
+    def test_matches_per_start_loop_on_one_row_or_column(self, shape):
+        rng = np.random.default_rng(64)
+        for seed in range(10):
+            self.assert_matches_reference(random_instance(rng, *shape, lo=-5, hi=5), seed, 12)
+
+    def test_several_blocks_and_windows_shorter_than_m(self):
+        # blocks of at most 16 members, so seven of 14 or 15, each scanning
+        # one row per member and step at first
+        inst = bqp.generate_instance("random", 8, 1000, 5)
+        cap = rowmerge._POOL_CELLS // inst.n
+        assert 100 % cap and rowmerge._POOL_CELLS // (cap * inst.n) < inst.m
+        self.assert_matches_reference(inst, 7, 100)
+
+    @pytest.mark.parametrize("cells, p", [(100, 10), (300, 25)])
+    def test_small_cell_budgets(self, pool_testbed, monkeypatch, cells, p):
+        # on 12x30, blocks of 2 or 3 and of 8 or 9 members, and windows of 1
+        # to 10 rows that wrap past row m-1 and run past the misses left
+        monkeypatch.setattr(rowmerge, "_POOL_CELLS", cells)
+        for wide, _ in pool_testbed.values():
+            self.assert_matches_reference(wide, 8, p)
+
+    @pytest.mark.parametrize("p", [0, -3])
+    def test_refuses_an_empty_pool(self, e1, p):
+        with pytest.raises(ValueError, match=rf"p = {p}"):
+            rowmerge.default_source_pool(e1, np.random.default_rng(0), p)
 
 
 class TestMultistartRowMerge:

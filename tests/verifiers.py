@@ -4,9 +4,11 @@ Everything here recomputes objectives directly from the instance arrays
 with its own loops; none of it calls the package's search, enumeration
 or partitioning code, so a bug in a solver cannot hide inside its own
 certificate.  From the package it takes only the data types and the
-graph generator's constants and error type.  The one exception is
+graph generator's constants and error type.  The two exceptions are
 `greedy_partition_levels`, a test-side driver of the package's own
-merger, which the literal partitioner below is checked against.
+merger, which the literal partitioner below is checked against, and
+`reference_source_pool`, the per-start loop over the package's own
+single-start descent, which the lockstep source pool is checked against.
 """
 
 from itertools import combinations, product
@@ -14,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from bqp import CooccurrenceGraph, Instance, RowPartition, Solution
+from bqp import CooccurrenceGraph, Instance, RowPartition, Solution, random_solution, vnd_exhaustive
 from bqp.rowmerge import _GreedyMerger
 from bqp.testbed import DEGREE_RESAMPLE_FACTOR, BipartiteGraphSpec, GenerationError
 
@@ -322,6 +324,17 @@ def greedy_partition_levels(graph: CooccurrenceGraph, k_min: int = 1) -> dict[in
         merger.step()
         levels[k] = merger.partition()
     return levels
+
+
+def reference_source_pool(inst: Instance, rng: np.random.Generator, p: int = 100) -> list[Solution]:
+    """Literal form of `rowmerge.default_source_pool`: draw each start from its
+    own spawned child and polish it with `vnd_exhaustive(·, 1)`, one start
+    at a time."""
+    pool = []
+    for _ in range(p):
+        child = rng.spawn(1)[0]
+        pool.append(vnd_exhaustive(inst, random_solution(inst, 0.5, child), 1))
+    return pool
 
 
 def greedy_partition_reference(graph: CooccurrenceGraph, k: int) -> RowPartition:
