@@ -31,9 +31,10 @@ def main() -> int:
     sizes = [tuple(int(v) for v in tok.split("x")) for tok in args.sizes.split(",")]
 
     count = 0
-    for family in bqp.FAMILIES:
-        for m, n in sizes:
-            for seed in range(args.seeds):
+    # Family innermost: the graph families of one (size, seed) share one graph.
+    for m, n in sizes:
+        for seed in range(args.seeds):
+            for family in bqp.FAMILIES:
                 inst = bqp.generate_instance(family, m, n, seed=seed)
                 stem = f"{family}-{m}x{n}-s{seed}"
                 (out / f"{stem}.bqp").write_text(bqp.write_instance(inst))

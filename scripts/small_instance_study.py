@@ -38,8 +38,9 @@ def main() -> int:
 
     gaps = defaultdict(list)
     times = defaultdict(list)
-    for family in bqp.FAMILIES:
-        for seed in range(args.seeds):
+    # Family innermost: the graph families of one seed share one graph.
+    for seed in range(args.seeds):
+        for family in bqp.FAMILIES:
             inst = bqp.generate_instance(family, m, n, seed=seed)
             optimum = bqp.enumerate_exact(inst).objective
             for expr in exprs:

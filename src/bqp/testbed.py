@@ -8,13 +8,17 @@ SeedSequence per instance, split into named child streams (degrees,
 edges, weights for graph-based families; one stream per weight array
 otherwise), so a (family, m, n, seed) tuple reproduces byte-identical
 files on any platform.  Normal weights are drawn by inverse CDF on the
-uniform stream and rounded half away from zero.
+uniform stream and rounded half away from zero.  The graph families
+differ only in the weight mean, which no draw depends on, so they share
+one realized graph per (m, n, seed).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import operator
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -85,16 +89,26 @@ def _round_half_away(v: float) -> int:
     return int(math.floor(v + 0.5)) if v >= 0 else int(math.ceil(v - 0.5))
 
 
-def normal_integers(rng: np.random.Generator, mean: float, sigma: float, size: int) -> np.ndarray:
-    """Normally distributed integers via inverse CDF on the uniform stream."""
+def _open_uniforms(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Uniforms in (0, 1): a zero is redrawn, since inv_cdf(0) is -inf."""
     u = rng.random(size)
     while True:
-        zero = u == 0.0  # inv_cdf(0) is -inf
+        zero = u == 0.0
         if not zero.any():
-            break
+            return u
         u[zero] = rng.random(int(zero.sum()))
+
+
+def _normal_from_uniforms(u: np.ndarray, mean: float, sigma: float) -> np.ndarray:
+    """Inverse normal CDF of each uniform, rounded half away from zero."""
     dist = NormalDist(mean, sigma)
-    return np.array([_round_half_away(dist.inv_cdf(float(v))) for v in u], dtype=np.int64)
+    values = (_round_half_away(dist.inv_cdf(float(v))) for v in u)
+    return np.fromiter(values, dtype=np.int64, count=len(u))
+
+
+def normal_integers(rng: np.random.Generator, mean: float, sigma: float, size: int) -> np.ndarray:
+    """Normally distributed integers via inverse CDF on the uniform stream."""
+    return _normal_from_uniforms(_open_uniforms(rng, size), mean, sigma)
 
 
 def _balanced_degrees(
@@ -221,22 +235,33 @@ def _realize_edges(
     return np.column_stack([left, right]).astype(np.int64)
 
 
-def generate_graph(spec: BipartiteGraphSpec, rng: np.random.Generator) -> GeneratedGraph:
-    """Random bipartite graph with degrees inside the spec bounds.
+def _draw_graph(
+    spec: BipartiteGraphSpec, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The edge list and one weight uniform per edge, before the weight mean.
 
-    Uses three child streams of `rng` (degrees, edges, weights).  Edge
-    weights are normal integers with the spec's mean and sigma.
+    Uses three child streams of `rng` (degrees, edges, weights).  Nothing
+    drawn depends on the spec's weight mean or sigma.
     """
     deg_rng, edge_rng, weight_rng = rng.spawn(3)
-    edges = None
     for _ in range(REALIZATION_RETRIES):
         dl, dr = _balanced_degrees(spec, deg_rng)
         edges = _realize_edges(spec, dl, dr, edge_rng)
         if edges is not None:
-            break
-    if edges is None:
-        raise GenerationError("could not realize a graph for the sampled degree sequences")
-    weights = normal_integers(weight_rng, spec.weight_mean, spec.weight_sigma, len(edges))
+            return edges, _open_uniforms(weight_rng, len(edges))
+    raise GenerationError("could not realize a graph for the sampled degree sequences")
+
+
+def generate_graph(spec: BipartiteGraphSpec, rng: np.random.Generator) -> GeneratedGraph:
+    """Random bipartite graph with degrees inside the spec bounds.
+
+    Uses three child streams of `rng` (degrees, edges, weights).  Edge
+    weights are normal integers with the spec's mean and sigma, mapped
+    from uniforms that do not depend on either, so specs that differ only
+    in the weights get the same edges from the same `rng`.
+    """
+    edges, u = _draw_graph(spec, rng)
+    weights = _normal_from_uniforms(u, spec.weight_mean, spec.weight_sigma)
     full = np.column_stack([edges, weights])
     left_deg = np.bincount(edges[:, 0], minlength=spec.m)
     right_deg = np.bincount(edges[:, 1], minlength=spec.n)
@@ -255,12 +280,51 @@ def _biclique_style_spec(m: int, n: int, mean: float) -> BipartiteGraphSpec:
     )
 
 
+def _checked_seed(seed) -> int:
+    """The seed as a plain non-negative int; anything else is a ValueError."""
+    try:
+        value = None if isinstance(seed, bool) else operator.index(seed)
+    except TypeError:
+        value = None
+    if value is None or value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return value
+
+
+@functools.lru_cache(maxsize=1)
+def _graph_draws(m: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacency mask and weight uniforms shared by the graph families.
+
+    The uniforms follow the edges in row-major order, the order in which
+    ``Q[adj] = weights`` assigns.  A bool mask is about a tenth of the
+    (k, 2) int64 edge list at these densities.  The arrays are read-only,
+    since every caller of one key gets the same objects.  The memo holds
+    one graph: enough for callers that build the families of one shape
+    and seed in a row, and bounded at any shape.
+    """
+    root = np.random.default_rng(np.random.SeedSequence(seed))
+    edges, u = _draw_graph(_biclique_style_spec(m, n, 0.0), root)
+    adj = np.zeros((m, n), dtype=bool)
+    adj[edges[:, 0], edges[:, 1]] = True
+    adj.flags.writeable = u.flags.writeable = False
+    return adj, u
+
+
 def generate_instance(family: str, m: int, n: int, seed: int) -> Instance:
-    """Build one instance of the given family, fully determined by the seed."""
+    """Build one instance of the given family, fully determined by the seed.
+
+    `seed` must be a non-negative integer (`bool` is refused).  The graph
+    families (`biclique`, `maxinduced`, `maxcut`) are one realization of
+    the same degree-constrained bipartite graph, with weights of mean 100
+    for `biclique` and 0 for the other two.  That realization is memoized
+    for the most recent (m, n, seed), so building the three families in a
+    row draws it once; the output does not depend on the memo.
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
+    seed = _checked_seed(seed)
     root = np.random.default_rng(np.random.SeedSequence(seed))
     meta = {"family": family, "seed": str(seed)}
 
@@ -273,25 +337,25 @@ def generate_instance(family: str, m: int, n: int, seed: int) -> Instance:
         return Instance(Q, c, d, meta)
 
     if family == "matrixfact":
-        h = (root.random((m, n)) < 0.5).astype(np.int64)
-        Q = 1 - 2 * h
+        Q = np.where(root.random((m, n)) < 0.5, np.int64(-1), np.int64(1))
         return Instance(Q, np.zeros(m, dtype=np.int64), np.zeros(n, dtype=np.int64), meta)
 
-    mean = 100.0 if family == "biclique" else 0.0
-    graph = generate_graph(_biclique_style_spec(m, n, mean), root)
+    spec = _biclique_style_spec(m, n, 100.0 if family == "biclique" else 0.0)
+    adj, u = _graph_draws(m, n, seed)
+    weights = _normal_from_uniforms(u, spec.weight_mean, spec.weight_sigma)
     zeros_m = np.zeros(m, dtype=np.int64)
     zeros_n = np.zeros(n, dtype=np.int64)
 
     if family == "biclique":
         # Any single non-edge penalty must dominate all attainable positive mass.
-        penalty = 1 + int(np.maximum(graph.edges[:, 2], 0).sum())
+        penalty = 1 + int(np.maximum(weights, 0).sum())
         Q = np.full((m, n), -penalty, dtype=np.int64)
-        Q[graph.edges[:, 0], graph.edges[:, 1]] = graph.edges[:, 2]
+        Q[adj] = weights
         meta["M"] = str(penalty)
         return Instance(Q, zeros_m, zeros_n, meta)
 
     Q = np.zeros((m, n), dtype=np.int64)
-    Q[graph.edges[:, 0], graph.edges[:, 1]] = graph.edges[:, 2]
+    Q[adj] = weights
 
     if family == "maxinduced":
         return Instance(Q, zeros_m, zeros_n, meta)

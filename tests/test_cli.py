@@ -46,6 +46,12 @@ class TestGen:
         with pytest.raises(SystemExit):  # argparse rejects the choice
             main(["gen", "nope", "3", "3", "--out", str(tmp_path / "x.bqp")])
 
+    def test_negative_seed_is_a_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "x.bqp"
+        assert main(["gen", "maxcut", "3", "3", "--seed", "-1", "--out", str(out)]) == 1
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_greedy_objective(self, e1_file, capsys):

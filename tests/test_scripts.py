@@ -25,19 +25,25 @@ def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
 def test_small_instance_study(tmp_path):
     proc = run_script("small_instance_study.py", "--size", "6x8", "--seeds", "1", "--iters", "5", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.splitlines()[2:]
-    for family in bqp.FAMILIES:
-        assert any(row.split()[0] == family for row in rows), family
+    rows = [row.split()[:2] for row in proc.stdout.splitlines()[2:]]
+    algs = ["G", "A(G)", "F(G)", "Vex1", "M(Vex1)"]
+    assert rows == [[family, alg] for family in bqp.FAMILIES for alg in algs]
 
 
 def test_build_testbed_with_certificates(tmp_path):
     out = tmp_path / "testbed"
     proc = run_script(
-        "build_testbed.py", "--out", str(out), "--sizes", "6x8", "--seeds", "1", "--certify", cwd=tmp_path
+        "build_testbed.py", "--out", str(out), "--sizes", "6x8,5x7", "--seeds", "2", "--certify",
+        cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert f"wrote {len(bqp.FAMILIES)} instances" in proc.stdout
+    assert f"wrote {4 * len(bqp.FAMILIES)} instances" in proc.stdout
     for family in bqp.FAMILIES:
-        inst = bqp.read_instance((out / f"{family}-6x8-s0.bqp").read_text())
-        _, _, sol = bqp.read_solution((out / f"{family}-6x8-s0.bqpsol").read_text(), inst)
-        assert sol.objective == bqp.enumerate_exact(inst).objective
+        for m, n in ((6, 8), (5, 7)):
+            for seed in range(2):
+                stem = f"{family}-{m}x{n}-s{seed}"
+                text = (out / f"{stem}.bqp").read_text()
+                assert text == bqp.write_instance(bqp.generate_instance(family, m, n, seed))
+                inst = bqp.read_instance(text)
+                _, _, sol = bqp.read_solution((out / f"{stem}.bqpsol").read_text(), inst)
+                assert sol.objective == bqp.enumerate_exact(inst).objective

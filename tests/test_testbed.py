@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -235,6 +237,83 @@ class TestFamilies:
             for m, n, seed in GOLDEN_SHAPES
         )
         assert digests == GOLDEN_DIGESTS[family]
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("seed", [None, True, -1, 1.5, "3"])
+    def test_non_integer_or_negative_seed_rejected(self, seed):
+        for family in bqp.FAMILIES:
+            with pytest.raises(ValueError, match="seed"):
+                bqp.generate_instance(family, 3, 4, seed)
+
+    def test_numpy_integer_seed_is_normalised(self):
+        for family in bqp.FAMILIES:
+            a = bqp.generate_instance(family, 3, 4, np.int64(3))
+            assert a.meta["seed"] == "3"
+            b = bqp.generate_instance(family, 3, 4, 3)
+            assert bqp.write_instance(a) == bqp.write_instance(b)
+
+
+GRAPH_FAMILIES = ("biclique", "maxinduced", "maxcut")
+
+
+class TestSharedGraphDraws:
+    """The graph families share one memoized realization per (m, n, seed)."""
+
+    @pytest.mark.parametrize("shape", GOLDEN_SHAPES)
+    def test_family_order_does_not_change_bytes(self, shape):
+        def fresh(family):
+            testbed._graph_draws.cache_clear()
+            return bqp.write_instance(bqp.generate_instance(family, *shape))
+
+        expected = {family: fresh(family) for family in GRAPH_FAMILIES}
+        for order in itertools.permutations(GRAPH_FAMILIES):
+            testbed._graph_draws.cache_clear()
+            for family in order:
+                assert bqp.write_instance(bqp.generate_instance(family, *shape)) == expected[family]
+
+    @pytest.mark.parametrize("mean", [100.0, 0.0])
+    def test_public_generator_matches_memoized_draws(self, mean):
+        m, n, seed = 8, 12, 0
+        spec = testbed._biclique_style_spec(m, n, mean)
+        graph = bqp.generate_graph(spec, np.random.default_rng(np.random.SeedSequence(seed)))
+        adj, u = testbed._graph_draws(m, n, seed)
+        assert np.array_equal(graph.edges[:, :2], np.argwhere(adj))
+        weights = testbed._normal_from_uniforms(u, mean, spec.weight_sigma)
+        assert np.array_equal(graph.edges[:, 2], weights)
+        family = "biclique" if mean else "maxinduced"
+        inst = bqp.generate_instance(family, m, n, seed)
+        assert np.array_equal(inst.Q[adj], weights)
+
+    def test_memo_holds_one_graph(self, monkeypatch):
+        calls = []
+        realize = testbed._realize_edges
+
+        def counting(*args):
+            calls.append(args)
+            return realize(*args)
+
+        monkeypatch.setattr(testbed, "_realize_edges", counting)
+        a, b = (6, 9, 0), (12, 5, 1)
+        per_shape = {}
+        for shape in (a, b):
+            testbed._graph_draws.cache_clear()
+            calls.clear()
+            for family in GRAPH_FAMILIES:
+                bqp.generate_instance(family, *shape)
+            per_shape[shape] = len(calls)  # one realization, dead ends included
+        testbed._graph_draws.cache_clear()
+        calls.clear()
+        for shape in (a, b, a):
+            bqp.generate_instance("maxcut", *shape)
+        assert len(calls) == 2 * per_shape[a] + per_shape[b]
+        assert testbed._graph_draws.cache_info().maxsize == 1
+
+    def test_memoized_arrays_are_read_only(self):
+        for array in testbed._graph_draws(6, 9, 0):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestInstanceIO:
