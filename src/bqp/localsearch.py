@@ -151,11 +151,12 @@ def _portion_level(st: RowState, p: int) -> bool:
 def exhaustive_portions(instance: Instance, solution: Solution, k: int) -> Solution:
     """First-improvement search over complements of up to k rows.
 
-    Subset sizes are explored in increasing order; an improvement found at
-    size p > 1 finishes that size class and then restarts from size 1,
-    while size-1 improvements just continue the scan.  The result admits
-    no improving complement of any subset of at most k rows.  A size class
-    of more than 2^RESTRICTION_ROW_LIMIT subsets is refused.
+    Runs one `_portion_level` per size p, from p = 1 upwards; a level of
+    size p > 1 that improves sends the search back to p = 1, and one that
+    does not moves it on to p + 1.  It stops after a miss at p = k, so the
+    result admits no improving complement of any subset of at most k rows
+    and ends flip-optimal.  A size class of more than
+    2^RESTRICTION_ROW_LIMIT subsets is refused.
     """
     m = instance.m
     if not 1 <= k <= m:
@@ -167,14 +168,9 @@ def exhaustive_portions(instance: Instance, solution: Solution, k: int) -> Solut
             f" more than 2^{RESTRICTION_ROW_LIMIT}"
         )
     st = RowState(instance, solution.x)
-    restart = True
-    while restart:
-        restart = False
-        for p in range(1, k + 1):
-            improved = _portion_level(st, p)
-            if improved and p > 1:
-                restart = True
-                break
+    p = 1
+    while p <= k:
+        p = 1 if _portion_level(st, p) and p > 1 else p + 1
     return st.solution()
 
 

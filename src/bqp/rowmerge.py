@@ -256,14 +256,9 @@ def default_source_pool(
 
 
 def _lockstep_vnd1(instance: Instance, starts: list[Solution]) -> list[Solution]:
-    """`vnd_exhaustive(instance, start, 1)` for every start, in lockstep.
-
-    One round suffices: a round ends flip-optimal with y = [s > 0], so the
-    next round's alternating passes flip no column (y already follows s)
-    and no row (a row its sign rule would flip would also be an improving
-    flip), and its flip scan misses every row.  The objective does not
-    rise, so that round would be the last and would change nothing.
-    """
+    """`vnd_exhaustive(instance, start, 1)` for every start, in lockstep:
+    one alternating search, then one flip scan (see `vnd_exhaustive` for
+    why that is the fixed point)."""
     Q, c = instance.Q, instance.c
     x = np.array([sol.x for sol in starts], dtype=np.int64)
     y = np.array([sol.y for sol in starts], dtype=np.int64)

@@ -280,15 +280,17 @@ def _biclique_style_spec(m: int, n: int, mean: float) -> BipartiteGraphSpec:
     )
 
 
-def _checked_seed(seed) -> int:
-    """The seed as a plain non-negative int; anything else is a ValueError."""
+def _checked_int(value, name: str, minimum: int) -> int:
+    """`value` as a plain int of at least `minimum`; anything else, `bool`
+    included, is a ValueError that names it."""
     try:
-        value = None if isinstance(seed, bool) else operator.index(seed)
+        number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        value = None
-    if value is None or value < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return value
+        number = None
+    if number is None or number < minimum:
+        kind = "a non-negative integer" if minimum == 0 else f"an integer of at least {minimum}"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return number
 
 
 @functools.lru_cache(maxsize=1)
@@ -313,7 +315,8 @@ def _graph_draws(m: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 def generate_instance(family: str, m: int, n: int, seed: int) -> Instance:
     """Build one instance of the given family, fully determined by the seed.
 
-    `seed` must be a non-negative integer (`bool` is refused).  The graph
+    `m` and `n` must be positive integers and `seed` a non-negative one
+    (`bool` is refused); numpy integers are taken as plain ints.  The graph
     families (`biclique`, `maxinduced`, `maxcut`) are one realization of
     the same degree-constrained bipartite graph, with weights of mean 100
     for `biclique` and 0 for the other two.  That realization is memoized
@@ -322,9 +325,8 @@ def generate_instance(family: str, m: int, n: int, seed: int) -> Instance:
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be at least 1")
-    seed = _checked_seed(seed)
+    m, n = _checked_int(m, "m", 1), _checked_int(n, "n", 1)
+    seed = _checked_int(seed, "seed", 0)
     root = np.random.default_rng(np.random.SeedSequence(seed))
     meta = {"family": family, "seed": str(seed)}
 

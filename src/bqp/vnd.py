@@ -15,7 +15,6 @@ from .localsearch import (
     _solve_restriction,
     alternating,
     exhaustive_portions,
-    flip_search,
 )
 
 Improver = Callable[[Instance, Solution, np.random.Generator], Solution]
@@ -36,11 +35,11 @@ class MultiStartRecord:
 def vnd(instance: Instance, p_max: int, rng: np.random.Generator) -> Solution:
     """Variable neighborhood descent from a greedy start.
 
-    Each round runs the alternating and flip searches; if flip improved,
-    the round restarts.  Otherwise, for every portion size k = 2..p_max and
-    every row, a random k-row set containing that row is freed and solved
-    exactly.  Improvements during the portion sweep are recorded and the
-    sweep completes before restarting.
+    Each round takes the solution to a depth-1 fixed point with
+    `vnd_exhaustive(·, 1)`, then, for every portion size k = 2..p_max and
+    every row, frees a random k-row set containing that row and solves it
+    exactly, accepting each improvement as the sweep goes.  The first
+    sweep that accepts nothing ends the descent.
 
     Escalating the portion size genuinely widens the search: the chance
     that a random size-p subset lands inside the region covered by the
@@ -51,17 +50,9 @@ def vnd(instance: Instance, p_max: int, rng: np.random.Generator) -> Solution:
         raise ValueError(f"p_max must lie in [2, {RESTRICTION_ROW_LIMIT}], got {p_max}")
     m = instance.m
     sol = greedy(instance)
-    lam = True
-    while lam:
-        lam = False
-        sol = alternating(instance, sol)
-        improved_sol = flip_search(instance, sol)
-        if improved_sol.objective > sol.objective:
-            sol = improved_sol
-            lam = True
-            continue
-        sol = improved_sol
-        st = RowState(instance, sol.x)
+    while True:
+        st = RowState(instance, vnd_exhaustive(instance, sol, 1).x)
+        before = st.value
         for k in range(2, min(p_max, m) + 1):
             for ell in range(m):
                 others = rng.permutation(m - 1)[: k - 1]
@@ -70,23 +61,23 @@ def vnd(instance: Instance, p_max: int, rng: np.random.Generator) -> Solution:
                 total, bits = _solve_restriction(st, free)
                 if total > st.value:
                     st.set_rows(free, bits.astype(np.int8))
-                    lam = True
         sol = st.solution()
-    return sol
+        if st.value == before:
+            return sol
 
 
 def vnd_exhaustive(instance: Instance, solution: Solution, k: int) -> Solution:
-    """Alternate the alternating search and exhaustive portions until
-    neither improves.  Pure column moves are never explored inside the
-    portions stage; the alternating stage owns them."""
-    sol = solution
-    while True:
-        before = sol.objective
-        sol = alternating(instance, sol)
-        sol = exhaustive_portions(instance, sol, k)
-        if sol.objective <= before:
-            break
-    return sol
+    """One alternating search, then exhaustive portions up to size k.
+
+    That is the fixed point of alternating the two stages.  The portions
+    stage ends flip-optimal and returns y = [s > 0], so another
+    alternating search would flip no column (y already follows s) and no
+    row (a row its sign rule flips would also be an improving flip), and
+    another portions stage would miss every subset.  Pure column moves
+    are never explored inside the portions stage; the alternating stage
+    owns them.
+    """
+    return exhaustive_portions(instance, alternating(instance, solution), k)
 
 
 def multi_start(

@@ -254,6 +254,22 @@ class TestSeedValidation:
             assert bqp.write_instance(a) == bqp.write_instance(b)
 
 
+class TestShapeValidation:
+    @pytest.mark.parametrize("bad", [3.0, True, "3", None, 0, -2])
+    def test_non_integer_or_non_positive_shape_rejected(self, bad):
+        for family in bqp.FAMILIES:
+            with pytest.raises(ValueError, match="^m must be an integer of at least 1"):
+                bqp.generate_instance(family, bad, 4, 0)
+            with pytest.raises(ValueError, match="^n must be an integer of at least 1"):
+                bqp.generate_instance(family, 3, bad, 0)
+
+    def test_numpy_integer_shape_is_normalised(self):
+        for family in bqp.FAMILIES:
+            a = bqp.generate_instance(family, np.int64(3), np.int32(4), 0)
+            b = bqp.generate_instance(family, 3, 4, 0)
+            assert bqp.write_instance(a) == bqp.write_instance(b)
+
+
 GRAPH_FAMILIES = ("biclique", "maxinduced", "maxcut")
 
 

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,58 @@ from verifiers import (
     assert_alternating_optimal,
     assert_flip_optimal,
     exhaustive_optimum,
+    reference_vnd,
+    reference_vnd_exhaustive,
 )
+
+VND = importlib.import_module("bqp.vnd")  # `bqp.vnd` is the function
+SHAPES = ((1, 1), (1, 9), (9, 1), (6, 8), (12, 30), (30, 12), (20, 50))
+
+
+def counting(monkeypatch, module, name: str, calls: list) -> None:
+    """Replace `module.name` with a wrapper that appends its args to `calls`."""
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def starts(inst: bqp.Instance, seed: int) -> list[bqp.Solution]:
+    """Greedy, all-zero and random starts, plus the random one with a stale
+    objective far above and far below its true value."""
+    rand = bqp.random_solution(inst, 0.5, np.random.default_rng(seed))
+    return [bqp.greedy(inst), bqp.trivial_solution(inst), rand] + [
+        bqp.Solution(rand.x, rand.y, rand.objective + shift) for shift in (10**6, -(10**6))
+    ]
+
+
+def grid(shape: tuple[int, int]) -> list[tuple[bqp.Instance, int]]:
+    """Every family at `shape` with seeds 0-2, or 0-1 from 300 cells up."""
+    seeds = range(3) if shape[0] * shape[1] < 300 else range(2)
+    return [(bqp.generate_instance(f, *shape, seed), seed) for f in bqp.FAMILIES for seed in seeds]
+
+
+class TestOneRoundMatchesReference:
+    """The one-round drivers give the solutions of the loops that re-check
+    each fixed point with one more round."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_vnd_exhaustive(self, shape):
+        for inst, seed in grid(shape):
+            for start in starts(inst, seed):
+                for k in range(1, min(3, inst.m) + 1):
+                    expected = reference_vnd_exhaustive(inst, start, k)
+                    assert bqp.vnd_exhaustive(inst, start, k) == expected
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_vnd(self, shape):
+        for inst, seed in grid(shape):
+            for p_max in (2, 3, 6):
+                expected = reference_vnd(inst, p_max, np.random.default_rng(seed))
+                assert bqp.vnd(inst, p_max, np.random.default_rng(seed)) == expected
 
 
 class TestVnd:
@@ -36,6 +89,22 @@ class TestVnd:
         a = bqp.vnd(inst, p_max=4, rng=np.random.default_rng(5))
         b = bqp.vnd(inst, p_max=4, rng=np.random.default_rng(5))
         assert a == b
+
+    def test_one_restriction_sweep_per_depth_one_descent(self, monkeypatch):
+        descents, restrictions = [], []
+        counting(monkeypatch, VND, "vnd_exhaustive", descents)
+        counting(monkeypatch, VND, "_solve_restriction", restrictions)
+        rounds = set()
+        for seed in range(4):
+            for m, n, p_max in ((12, 30, 3), (6, 8, 6), (9, 1, 2)):
+                inst = bqp.generate_instance("random", m, n, seed)
+                descents.clear()
+                restrictions.clear()
+                bqp.vnd(inst, p_max, np.random.default_rng(seed))
+                assert all(args[2] == 1 for args in descents)
+                assert len(restrictions) == len(descents) * m * (min(p_max, m) - 1)
+                rounds.add(len(descents))
+        assert min(rounds) == 1 and max(rounds) > 1  # sweeps that accept and that do not
 
     def test_rejects_bad_p_max(self, e1):
         with pytest.raises(ValueError):
@@ -73,6 +142,19 @@ class TestVndExhaustive:
         assert sol.objective == 2
         assert_alternating_optimal(e1, sol)
         assert_flip_optimal(e1, sol)
+
+    def test_one_round(self, monkeypatch):
+        calls = {"alternating": [], "exhaustive_portions": []}
+        for name, seen in calls.items():
+            counting(monkeypatch, VND, name, seen)
+        inst = bqp.generate_instance("random", 12, 30, 0)
+        start = bqp.random_solution(inst, 0.5, np.random.default_rng(0))
+        for k in (1, 2, 3):
+            for seen in calls.values():
+                seen.clear()
+            sol = bqp.vnd_exhaustive(inst, start, k)
+            assert sol.objective > start.objective  # the first round improves
+            assert [len(seen) for seen in calls.values()] == [1, 1]
 
     def test_idempotent(self, e1):
         first = bqp.vnd_exhaustive(e1, bqp.greedy(e1), 1)

@@ -6,9 +6,12 @@ or partitioning code, so a bug in a solver cannot hide inside its own
 certificate.  From the package it takes only the data types and the
 graph generator's constants and error type.  The two exceptions are
 `greedy_partition_levels`, a test-side driver of the package's own
-merger, which the literal partitioner below is checked against, and
-`reference_source_pool`, the per-start loop over the package's own
-single-start descent, which the lockstep source pool is checked against.
+merger, which the literal partitioner below is checked against, and the
+descent drivers `reference_vnd_exhaustive`, `reference_vnd` and
+`reference_source_pool`: the package's earlier loops, which re-check
+each fixed point with one more round, kept verbatim over its own
+alternating, flip, portions and restriction steps, and checked against
+the one-round drivers and the lockstep source pool.
 """
 
 from itertools import combinations, product
@@ -16,7 +19,19 @@ from math import comb
 
 import numpy as np
 
-from bqp import CooccurrenceGraph, Instance, RowPartition, Solution, random_solution, vnd_exhaustive
+from bqp import (
+    CooccurrenceGraph,
+    Instance,
+    RowPartition,
+    RowState,
+    Solution,
+    alternating,
+    exhaustive_portions,
+    flip_search,
+    greedy,
+    random_solution,
+)
+from bqp.localsearch import RESTRICTION_ROW_LIMIT, _solve_restriction
 from bqp.rowmerge import _GreedyMerger
 from bqp.testbed import DEGREE_RESAMPLE_FACTOR, BipartiteGraphSpec, GenerationError
 
@@ -326,14 +341,59 @@ def greedy_partition_levels(graph: CooccurrenceGraph, k_min: int = 1) -> dict[in
     return levels
 
 
+def reference_vnd_exhaustive(instance: Instance, solution: Solution, k: int) -> Solution:
+    """Alternate the alternating search and exhaustive portions until a
+    round does not raise the objective (that last round changes nothing)."""
+    sol = solution
+    while True:
+        before = sol.objective
+        sol = alternating(instance, sol)
+        sol = exhaustive_portions(instance, sol, k)
+        if sol.objective <= before:
+            break
+    return sol
+
+
+def reference_vnd(instance: Instance, p_max: int, rng: np.random.Generator) -> Solution:
+    """`vnd` with a re-check round: alternating and flip search repeat
+    until flip search does not improve, then the restriction sweep runs;
+    any accepted restriction starts another round."""
+    if not 2 <= p_max <= RESTRICTION_ROW_LIMIT:
+        raise ValueError(f"p_max must lie in [2, {RESTRICTION_ROW_LIMIT}], got {p_max}")
+    m = instance.m
+    sol = greedy(instance)
+    lam = True
+    while lam:
+        lam = False
+        sol = alternating(instance, sol)
+        improved_sol = flip_search(instance, sol)
+        if improved_sol.objective > sol.objective:
+            sol = improved_sol
+            lam = True
+            continue
+        sol = improved_sol
+        st = RowState(instance, sol.x)
+        for k in range(2, min(p_max, m) + 1):
+            for ell in range(m):
+                others = rng.permutation(m - 1)[: k - 1]
+                others = others + (others >= ell)  # skip ell, keep uniformity
+                free = np.sort(np.append(others, ell))
+                total, bits = _solve_restriction(st, free)
+                if total > st.value:
+                    st.set_rows(free, bits.astype(np.int8))
+                    lam = True
+        sol = st.solution()
+    return sol
+
+
 def reference_source_pool(inst: Instance, rng: np.random.Generator, p: int = 100) -> list[Solution]:
     """Literal form of `rowmerge.default_source_pool`: draw each start from its
-    own spawned child and polish it with `vnd_exhaustive(·, 1)`, one start
-    at a time."""
+    own spawned child and polish it with `reference_vnd_exhaustive(·, 1)`,
+    one start at a time."""
     pool = []
     for _ in range(p):
         child = rng.spawn(1)[0]
-        pool.append(vnd_exhaustive(inst, random_solution(inst, 0.5, child), 1))
+        pool.append(reference_vnd_exhaustive(inst, random_solution(inst, 0.5, child), 1))
     return pool
 
 
