@@ -156,9 +156,9 @@ class RowState:
 
     Keeps s_j = d_j + sum_i q_ij x_i, the row cost cx = c x and the value
     f(x, y(x)) = cx + sum_j max(s_j, 0) of x with the closed-form optimal
-    columns y_j = [s_j > 0].  Every search moves its rows and finishes
-    its result through this state: complementing one row costs O(n), a
-    set of k rows O(kn).  The state owns a private copy of x.
+    columns y_j = [s_j > 0].  Each search with implicit columns moves and
+    finishes its rows through this state: complementing one row costs
+    O(n), a set of k rows O(kn).  The state owns a private copy of x.
     """
 
     __slots__ = ("inst", "x", "s", "cx", "value")

@@ -5,12 +5,11 @@ implicit: a row assignment x is scored as f(x, y(x)) through the column
 sums maintained by `core.RowState`, so candidate moves cost O(n) per
 touched row instead of a full re-evaluation.  Pure y-moves are never
 explored by these searches; the final solution re-optimizes the columns
-in closed form.  `alternating` moves both sides and keeps ties at the
-current bit: its rows move through a `RowState`, and it keeps only the
-explicit columns and their row sums.  The two lockstep kernels run
-`alternating` and the flip scan on a block of members at once, one member
-per matrix row; `rowmerge.default_source_pool` polishes its starts with
-them.
+in closed form.  `alternating` moves both sides, with explicit columns,
+and keeps ties at the current bit.  The two lockstep kernels run the
+alternating search and the flip scan on a block of members at once, one
+member per matrix row: `alternating` is the first kernel on a block of
+one, and `rowmerge.default_source_pool` polishes its starts with both.
 """
 
 from __future__ import annotations
@@ -18,11 +17,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, isfinite
+from numbers import Real
+from operator import index
 
 import numpy as np
 
-from .core import Instance, RowState, Solution
+from .core import Instance, RowState, Solution, _as_bits
 from .exact import enumerate_exact
 
 RESTRICTION_ROW_LIMIT = 20  # restricted problems are solved by 2^k enumeration
@@ -42,10 +43,12 @@ class Budget:
     def __post_init__(self):
         if (self.iterations is None) == (self.seconds is None):
             raise ValueError("set exactly one of iterations / seconds")
-        if self.iterations is not None and self.iterations <= 0:
-            raise ValueError("iteration budget must be positive")
-        if self.seconds is not None and self.seconds <= 0:
-            raise ValueError("time budget must be positive")
+        n, s = self.iterations, self.seconds
+        if n is not None and (isinstance(n, bool) or not hasattr(n, "__index__") or index(n) < 1):
+            raise ValueError(f"iterations must be an integer >= 1, got {n!r}")
+        # a NaN or infinite deadline is never reached, so the run would not end
+        if s is not None and not (isinstance(s, Real) and isfinite(s) and s > 0):
+            raise ValueError(f"seconds must be a finite number > 0, got {s!r}")
 
     @classmethod
     def iters(cls, n: int) -> "Budget":
@@ -220,61 +223,54 @@ def alternating(instance: Instance, solution: Solution) -> Solution:
     A column pass and a row pass alternate, starting with the columns,
     until a pass other than the first changes nothing.  Within a pass the
     flip conditions are strict (zero sums keep the current bit), so every
-    flip strictly increases the objective.  The rows move through a
-    `RowState`; the explicit columns y keep their ties, with their row sums
-    w = c + Q y.  The result's objective is recomputed as s.y + c.x, so a
-    stale objective on the start solution does not carry over.
+    flip strictly increases the objective.  The search runs as
+    `_lockstep_alternating` on a block of one.  The result's objective is
+    recomputed as s.y + c.x, so a stale objective on the start solution
+    does not carry over.
     """
-    Q = instance.Q
-    st = RowState(instance, solution.x)
-    y = solution.y.copy()
-    w = instance.c + Q @ y.astype(np.int64)
-    # a bit flips when its sum's sign favours the other value, 1 - 2 * bit;
-    # a zero sum matches neither, so ties stay put
-    passes = 0
-    while True:
-        if passes % 2 == 0:
-            flips = np.flatnonzero(np.sign(st.s) == 1 - 2 * y)
-            if flips.size:
-                w += Q[:, flips] @ (1 - 2 * y[flips].astype(np.int64))
-                y[flips] ^= 1
-        else:
-            flips = np.flatnonzero(np.sign(w) == 1 - 2 * st.x)
-            if flips.size:
-                st.complement(flips)
-        if passes and not flips.size:
-            break
-        passes += 1
-    return Solution(st.x.copy(), y, st.cx + int(st.s @ y))
+    x, y, s, cx = _lockstep_block(instance, [solution])
+    _lockstep_alternating(instance.Q, instance.c, x, y, s, cx)
+    return Solution(x[0], y[0], cx[0] + s[0] @ y[0])
+
+
+def _lockstep_block(instance: Instance, solutions) -> tuple[np.ndarray, ...]:
+    """The block of `solutions`, one member per matrix row, as the lockstep
+    kernels take it: int64 x (B x m), y and s = d + x Q (B x n), and cx = x c."""
+    x = np.array([_as_bits(sol.x, instance.m, "x") for sol in solutions], dtype=np.int64)
+    y = np.array([_as_bits(sol.y, instance.n, "y") for sol in solutions], dtype=np.int64)
+    return x, y, instance.d + x @ instance.Q, x @ instance.c
 
 
 def _lockstep_alternating(Q, c, x, y, s, cx) -> None:
     """`alternating` on a block of members in lockstep, in place.
 
-    Member b is row b of x (B x m), of y and s = d + x Q (B x n) and of cx,
-    all int64.  Each pass is one matmul for the whole block, with the same
-    strict sign rule, ties kept.  A member whose pass after the first flips
-    nothing is at a fixed point, so its later passes flip nothing either,
-    and the block stops at the first pass where no member flips.
+    Takes the block as `_lockstep_block` builds it.  Each pass updates the
+    sums of the whole block through the lines, columns or rows, that some
+    member flips, and only those.  A member whose pass after the first
+    flips nothing is at a fixed point, so its later passes flip nothing
+    either, and the block stops at the first pass after the first where
+    no member flips.
     """
     w = c + y @ Q.T
+    # a bit flips when its sum's sign favours the other value, 1 - 2 * bit;
+    # a zero sum matches neither, so ties stay put
     passes = 0
     while True:
         if passes % 2 == 0:
             flips = np.sign(s) == 1 - 2 * y
-            moved = flips.any()
-            if moved:
-                w += (flips * (1 - 2 * y)) @ Q.T
+            lines = np.flatnonzero(flips.any(axis=0))
+            if lines.size:
+                w += (flips[:, lines] * (1 - 2 * y[:, lines])) @ Q[:, lines].T
                 y ^= flips
         else:
             flips = np.sign(w) == 1 - 2 * x
-            moved = flips.any()
-            if moved:
-                step = flips * (1 - 2 * x)
-                s += step @ Q
-                cx += step @ c
+            lines = np.flatnonzero(flips.any(axis=0))
+            if lines.size:
+                step = flips[:, lines] * (1 - 2 * x[:, lines])
+                s += step @ Q[lines]
+                cx += step @ c[lines]
                 x ^= flips
-        if passes and not moved:
+        if passes and not lines.size:
             return
         passes += 1
 
@@ -282,15 +278,16 @@ def _lockstep_alternating(Q, c, x, y, s, cx) -> None:
 def _lockstep_flips(Q, c, x, s, cx, cells: int) -> np.ndarray:
     """`_portion_level(·, 1)` on a block of members in lockstep, in place.
 
-    Takes the block as `_lockstep_alternating` does and returns each
-    member's value f(x, y(x)).  Every member scans its rows cyclically from
-    a pointer, as the single scan does, and stops after m misses in a row.
-    A step scores a window of rows from the pointer of every member still
-    scanning, with as many rows as keep the batch within `cells` cells (at
-    least one, at most m).  Each member takes its first row that beats its value and moves its
-    pointer past that row.  A window may run past the misses a member has
-    left, into rows already missed since its last move; with its state
-    unchanged, those rows miss again, so the first hit is the same.
+    Takes the block as `_lockstep_block` builds it, less y, and returns
+    each member's value f(x, y(x)).  Every member scans its rows cyclically
+    from a pointer, as the single scan does, and stops after m misses in a
+    row.  A step scores a window of rows from the pointer of every member
+    still scanning, with as many rows as keep the batch within `cells`
+    cells (at least one, at most m).  Each member takes its first row that
+    beats its value and moves its pointer past that row.  A window may run
+    past the misses a member has left, into rows already missed since its
+    last move; with its state unchanged, those rows miss again, so the
+    first hit is the same.
     """
     m, n = Q.shape
     value = cx + np.maximum(s, 0).sum(axis=1)

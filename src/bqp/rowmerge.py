@@ -23,7 +23,9 @@ import numpy as np
 from .construct import greedy, random_solution
 from .core import Instance, RowState, Solution
 from .exact import enumerate_exact
-from .localsearch import Budget, _lockstep_alternating, _lockstep_flips, flip_search
+from .localsearch import (
+    Budget, _lockstep_alternating, _lockstep_block, _lockstep_flips, flip_search
+)
 from .vnd import vnd_exhaustive
 
 MERGE_ENUMERATION_LIMIT = 20  # merged problems solved exactly up to 2^k
@@ -260,10 +262,7 @@ def _lockstep_vnd1(instance: Instance, starts: list[Solution]) -> list[Solution]
     one alternating search, then one flip scan (see `vnd_exhaustive` for
     why that is the fixed point)."""
     Q, c = instance.Q, instance.c
-    x = np.array([sol.x for sol in starts], dtype=np.int64)
-    y = np.array([sol.y for sol in starts], dtype=np.int64)
-    s = instance.d + x @ Q
-    cx = x @ c
+    x, y, s, cx = _lockstep_block(instance, starts)
     _lockstep_alternating(Q, c, x, y, s, cx)
     value = _lockstep_flips(Q, c, x, s, cx, _POOL_CELLS)
     return [Solution(x[b], s[b] > 0, value[b]) for b in range(len(starts))]

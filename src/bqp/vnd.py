@@ -85,21 +85,21 @@ def multi_start(
     inner: Improver,
     budget: Budget,
     rng: np.random.Generator,
-    p: float = 0.5,
 ) -> MultiStartRecord:
     """Improve independent random solutions and keep the best result.
 
     Each iteration draws a child generator from the master stream, builds a
-    Bernoulli(p) random solution from it, and applies `inner`.  Ties keep
-    the earlier iteration, so the outcome is reproducible and the
-    iterations could be evaluated concurrently with the same result.
+    random solution from it, each bit 1 with probability 1/2, and applies
+    `inner`.  Ties keep the earlier iteration, so the outcome is
+    reproducible and the iterations could be evaluated concurrently with
+    the same result.
     """
     clock = budget.start()
     best: Solution | None = None
     iterations = 0
     while clock.tick():
         child = rng.spawn(1)[0]
-        sol = random_solution(instance, p, child)
+        sol = random_solution(instance, 0.5, child)
         sol = inner(instance, sol, child)
         iterations += 1
         if best is None or sol.objective > best.objective:

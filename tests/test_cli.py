@@ -87,6 +87,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "2^20" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_nan_time_is_a_one_line_error(self, e1_file, capsys, command):
+        # a NaN deadline is never reached, so the run would not end
+        args = {
+            "solve": ["solve", str(e1_file), "--alg"],
+            "bench": ["bench", "--instances", str(e1_file), "--algs"],
+        }[command]
+        assert main([*args, "M(Vex1)", "--time", "nan"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seconds" in err and err.count("\n") == 1
+
     def test_writes_certificate(self, e1_file, tmp_path, e1):
         sol_path = tmp_path / "g.bqpsol"
         assert main(["solve", str(e1_file), "--alg", "G", "--out", str(sol_path)]) == 0

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 import bqp
 from bqp import Budget, Instance
-from bqp.localsearch import _lockstep_alternating, _portion_level, _solve_restriction
+from bqp.localsearch import (
+    _lockstep_alternating,
+    _lockstep_block,
+    _portion_level,
+    _solve_restriction,
+)
 
 from instances import random_instance, tight_family
 from test_core import small_instances
@@ -17,6 +22,7 @@ from verifiers import (
     assert_portions_optimal,
     exhaustive_optimum,
     naive_objective,
+    reference_alternating,
     reference_portion_level,
     reference_portions,
     reoptimized_value,
@@ -35,6 +41,21 @@ class TestBudget:
             Budget.iters(0)
         with pytest.raises(ValueError):
             Budget.of_seconds(-1.0)
+
+    @pytest.mark.parametrize("n", [2.5, True, False, "3"])
+    def test_iterations_must_be_a_count(self, n):
+        with pytest.raises(ValueError, match="iterations"):
+            Budget.iters(n)
+
+    @pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf"), "1"])
+    def test_seconds_must_be_finite_and_positive(self, s):
+        with pytest.raises(ValueError, match="seconds"):
+            Budget.of_seconds(s)
+
+    def test_integer_likes_accepted(self):
+        clock = Budget.iters(np.int64(2)).start()
+        assert [clock.tick() for _ in range(3)] == [True, True, False]
+        assert Budget.of_seconds(np.float64(0.5)).seconds == 0.5
 
     def test_iteration_count(self):
         clock = Budget.iters(3).start()
@@ -95,6 +116,13 @@ class TestAlternating:
         assert sol.objective == -1
         assert_alternating_optimal(inst, sol)
 
+    def test_column_side_is_checked(self, e1):
+        x = np.zeros(e1.m, dtype=np.int8)
+        with pytest.raises(bqp.DimensionError, match="y"):
+            bqp.alternating(e1, bqp.Solution(x, np.zeros(e1.n + 1, dtype=np.int8), 0))
+        with pytest.raises(ValueError, match="y must be 0/1"):
+            bqp.alternating(e1, bqp.Solution(x, np.full(e1.n, 2, dtype=np.int8), 0))
+
     def test_certificates_on_random_instances(self):
         rng = np.random.default_rng(21)
         for _ in range(40):
@@ -106,24 +134,48 @@ class TestAlternating:
 
 class TestLockstepAlternating:
     def test_matches_alternating_member_by_member(self):
-        # a block of random starts, and a block of the same rows with
-        # y = [s > 0], whose first (column) pass flips nothing while a row
-        # pass still may
+        # blocks of random starts, where some members flip a line that
+        # others keep, and blocks of the same rows with y = [s > 0], whose
+        # first (column) pass flips nothing while a row pass still may
         rng = np.random.default_rng(24)
-        for m, n in ((1, 1), (1, 6), (6, 1), (7, 9), (9, 7)):
+        for m, n, size in [
+            (1, 1, 10), (1, 6, 10), (6, 1, 10), (7, 9, 10), (9, 7, 10), (12, 30, 20), (30, 12, 20)
+        ]:
             inst = random_instance(rng, m, n, lo=-5, hi=5)
-            starts = [bqp.random_solution(inst, 0.5, rng) for _ in range(10)]
+            starts = [bqp.random_solution(inst, 0.5, rng) for _ in range(size)]
             for block in (starts, [bqp.RowState(inst, start.x).solution() for start in starts]):
-                x = np.array([start.x for start in block], dtype=np.int64)
-                y = np.array([start.y for start in block], dtype=np.int64)
-                s = inst.d + x @ inst.Q
-                cx = x @ inst.c
+                x, y, s, cx = _lockstep_block(inst, block)
                 _lockstep_alternating(inst.Q, inst.c, x, y, s, cx)
                 for b, start in enumerate(block):
-                    want = bqp.alternating(inst, start)
+                    want = reference_alternating(inst, start)
                     assert np.array_equal(x[b], want.x) and np.array_equal(y[b], want.y)
                     assert np.array_equal(s[b], inst.d + x[b] @ inst.Q)
                     assert cx[b] + s[b] @ y[b] == want.objective
+
+
+def _alternating_cases():
+    """Every family at a grid of shapes from greedy, trivial and random
+    starts, then tie-heavy random instances with weights in [-2, 2]."""
+    rng = np.random.default_rng(64)
+    shapes = [(1, 1), (1, 9), (9, 1), (6, 8), (12, 30), (30, 12), (20, 50), (40, 600), (200, 20)]
+    for family in bqp.FAMILIES:
+        for m, n in shapes:
+            inst = bqp.generate_instance(family, m, n, 3)
+            starts = [bqp.greedy(inst), bqp.trivial_solution(inst)]
+            starts += [bqp.random_solution(inst, p, rng) for p in (0.1, 0.5, 0.9)]
+            yield inst, starts
+    for _ in range(2000):
+        inst = random_instance(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7)), lo=-2, hi=2)
+        yield inst, [bqp.random_solution(inst, 0.5, rng)]
+
+
+class TestAlternatingMatchesReference:
+    def test_same_solution_from_fresh_and_stale_starts(self):
+        for inst, starts in _alternating_cases():
+            for start in starts:
+                stale = bqp.Solution(start.x, start.y, start.objective + 10**6)
+                for sol in (start, stale):
+                    assert bqp.alternating(inst, sol) == reference_alternating(inst, sol)
 
 
 class TestFlipSearch:

@@ -9,9 +9,11 @@ graph generator's constants and error type.  The two exceptions are
 merger, which the literal partitioner below is checked against, and the
 descent drivers `reference_vnd_exhaustive`, `reference_vnd` and
 `reference_source_pool`: the package's earlier loops, which re-check
-each fixed point with one more round, kept verbatim over its own
-alternating, flip, portions and restriction steps, and checked against
-the one-round drivers and the lockstep source pool.
+each fixed point with one more round, kept verbatim over its own flip,
+portions and restriction steps, and checked against the one-round
+drivers and the lockstep source pool.  Their alternating step is
+`reference_alternating`, the package's one-start pass loop kept
+verbatim, which the lockstep alternating kernel is checked against.
 """
 
 from itertools import combinations, product
@@ -25,7 +27,6 @@ from bqp import (
     RowPartition,
     RowState,
     Solution,
-    alternating,
     exhaustive_portions,
     flip_search,
     greedy,
@@ -341,13 +342,47 @@ def greedy_partition_levels(graph: CooccurrenceGraph, k_min: int = 1) -> dict[in
     return levels
 
 
+def reference_alternating(instance: Instance, solution: Solution) -> Solution:
+    """Alternate closed-form improvement of the column and row sides.
+
+    A column pass and a row pass alternate, starting with the columns,
+    until a pass other than the first changes nothing.  Within a pass the
+    flip conditions are strict (zero sums keep the current bit), so every
+    flip strictly increases the objective.  The rows move through a
+    `RowState`; the explicit columns y keep their ties, with their row sums
+    w = c + Q y.  The result's objective is recomputed as s.y + c.x, so a
+    stale objective on the start solution does not carry over.
+    """
+    Q = instance.Q
+    st = RowState(instance, solution.x)
+    y = solution.y.copy()
+    w = instance.c + Q @ y.astype(np.int64)
+    # a bit flips when its sum's sign favours the other value, 1 - 2 * bit;
+    # a zero sum matches neither, so ties stay put
+    passes = 0
+    while True:
+        if passes % 2 == 0:
+            flips = np.flatnonzero(np.sign(st.s) == 1 - 2 * y)
+            if flips.size:
+                w += Q[:, flips] @ (1 - 2 * y[flips].astype(np.int64))
+                y[flips] ^= 1
+        else:
+            flips = np.flatnonzero(np.sign(w) == 1 - 2 * st.x)
+            if flips.size:
+                st.complement(flips)
+        if passes and not flips.size:
+            break
+        passes += 1
+    return Solution(st.x.copy(), y, st.cx + int(st.s @ y))
+
+
 def reference_vnd_exhaustive(instance: Instance, solution: Solution, k: int) -> Solution:
     """Alternate the alternating search and exhaustive portions until a
     round does not raise the objective (that last round changes nothing)."""
     sol = solution
     while True:
         before = sol.objective
-        sol = alternating(instance, sol)
+        sol = reference_alternating(instance, sol)
         sol = exhaustive_portions(instance, sol, k)
         if sol.objective <= before:
             break
@@ -365,7 +400,7 @@ def reference_vnd(instance: Instance, p_max: int, rng: np.random.Generator) -> S
     lam = True
     while lam:
         lam = False
-        sol = alternating(instance, sol)
+        sol = reference_alternating(instance, sol)
         improved_sol = flip_search(instance, sol)
         if improved_sol.objective > sol.objective:
             sol = improved_sol
