@@ -78,8 +78,8 @@ def bench(
     """Run every (instance, expression, repetition) cell and report gaps.
 
     With `ref_expr`, each instance first times one reference run and the
-    competitors get that wall-clock as their budget (the reference run is
-    reported as its own rows).  Every run goes through `store.update`, in
+    competitors get that wall-clock as their budget in place of `budget`
+    (the reference run is reported as its own rows).  Every run goes through `store.update`, in
     row order (an in-memory store stands in when `store` is None), and the
     gaps are computed against the store's best after the last run, so a
     fresh store shows gap 0 for the best run rather than an undefined column.
@@ -269,6 +269,8 @@ def cmd_bench(args) -> int:
         raise ValueError("no algorithm expressions given")
     budget = _budget_from_args(args)
     ref = parse_expr(args.ref) if args.ref else None
+    if ref is not None and budget is not None:
+        raise ValueError("--ref sets the budget of every run; give no --iters or --time with it")
     if ref is None and budget is None and any(needs_budget(e) for e in exprs):
         raise ValueError("budgeted expressions need --iters, --time or --ref")
     store = BestKnownStore(args.store) if args.store else None

@@ -28,6 +28,9 @@ def _int_array(v, label: str) -> np.ndarray:
     arr = np.asarray(v)
     if arr.size and arr.dtype.kind in "fc":
         raise TypeError(f"{label} must be integer-valued, got dtype {arr.dtype}")
+    # Checked before the cast, which would wrap 2^64 - 1 to -1.
+    if arr.size and arr.dtype.kind == "u" and arr.max() > _INT64_MAX:
+        raise OverflowError(f"{label} holds a weight outside the signed 64-bit range")
     return np.array(arr, dtype=np.int64)
 
 
@@ -61,11 +64,13 @@ class Instance:
         if self.d.shape != (n,):
             raise DimensionError(f"d must have length {n}, got {self.d.shape}")
         # float64 accumulation cannot overflow; at this magnitude the
-        # relative rounding error is ~1e-16, irrelevant for a guard.
+        # relative rounding error is ~1e-16, irrelevant for a guard.  The
+        # absolute values are taken in float64 too, as the int64 one of
+        # -2^63 wraps to itself.
         mass = (
-            float(np.abs(self.Q).sum(dtype=np.float64))
-            + float(np.abs(self.c).sum(dtype=np.float64))
-            + float(np.abs(self.d).sum(dtype=np.float64))
+            float(np.abs(self.Q, dtype=np.float64).sum())
+            + float(np.abs(self.c, dtype=np.float64).sum())
+            + float(np.abs(self.d, dtype=np.float64).sum())
         )
         if mass > _INT64_MAX:
             raise OverflowError("total weight mass exceeds the 64-bit objective guard")

@@ -9,8 +9,8 @@ agglomerative pass maximizes the total score.  The greedy partitioner
 keeps every live pair's merge score in one dense m x m matrix; the test
 suite checks it against a literal recompute-everything version of the
 same greedy rule.  The default pool polishes its random starts in
-lockstep, one matrix row per start, and the test suite checks it against
-polishing them one at a time.
+lockstep, the whole pool as one block with one matrix row per start,
+and the test suite checks it against polishing them one at a time.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from .construct import greedy, random_solution
 from .core import Instance, RowState, Solution
 from .exact import enumerate_exact
 from .localsearch import (
-    Budget, _lockstep_alternating, _lockstep_block, _lockstep_flips, flip_search
+    RESTRICTION_ROW_LIMIT, Budget, _lockstep_alternating, _lockstep_block, _lockstep_flips,
+    flip_search,
 )
 from .vnd import vnd_exhaustive
 
-MERGE_ENUMERATION_LIMIT = 20  # merged problems solved exactly up to 2^k
 DEFAULT_SOURCE_POOL = 100
-_POOL_CELLS = 1 << 14  # int64 cells in one lockstep block's state and in one scoring batch
+_POOL_CELLS = 1 << 14  # int64 cells in one scoring batch of the pool's flip scan
 _NO_PAIR = np.iinfo(np.int64).min  # merge-score entry of a dead or mirrored pair
 
 
@@ -209,7 +209,7 @@ def _solve_merged_flip_greedy(reduced: Instance) -> Solution:
 
 def _check_merge_k(instance: Instance, k: int) -> None:
     """Refuse a cluster count that `clustering_row_merge` cannot enumerate."""
-    top = min(instance.m, MERGE_ENUMERATION_LIMIT)
+    top = min(instance.m, RESTRICTION_ROW_LIMIT)
     if not 1 <= k <= top:
         raise ValueError(f"k must lie in [1, {top}], got {k}")
 
@@ -240,32 +240,20 @@ def default_source_pool(
     the depth-1 `vnd_exhaustive`.
 
     All p starts are drawn first, in order, each from its own
-    `rng.spawn(1)[0]` child.  The descents then run in lockstep (see
-    `_lockstep_vnd1`) on the fewest blocks of nearly equal size whose
-    state, about max(m, n) int64 cells per member, fits in `_POOL_CELLS`
-    cells; each scoring batch fits in as many.  No randomness is drawn
-    after the starts, so the pool is the one that polishing each start in
-    turn gives, whatever the block size.
+    `rng.spawn(1)[0]` child.  The descents then run in lockstep on the
+    whole pool as one block: one alternating search, then one flip scan
+    (see `vnd_exhaustive` for why that is the fixed point).  No randomness
+    is drawn after the starts, so the pool is the one that polishing each
+    start in turn gives.
     """
     if p < 1:
         raise ValueError(f"the source pool needs at least one solution, got p = {p}")
     starts = [random_solution(instance, 0.5, rng.spawn(1)[0]) for _ in range(p)]
-    blocks = -(-p // max(1, _POOL_CELLS // max(instance.m, instance.n)))
-    pool = []
-    for i in range(blocks):
-        pool += _lockstep_vnd1(instance, starts[i * p // blocks : (i + 1) * p // blocks])
-    return pool
-
-
-def _lockstep_vnd1(instance: Instance, starts: list[Solution]) -> list[Solution]:
-    """`vnd_exhaustive(instance, start, 1)` for every start, in lockstep:
-    one alternating search, then one flip scan (see `vnd_exhaustive` for
-    why that is the fixed point)."""
     Q, c = instance.Q, instance.c
     x, y, s, cx = _lockstep_block(instance, starts)
     _lockstep_alternating(Q, c, x, y, s, cx)
     value = _lockstep_flips(Q, c, x, s, cx, _POOL_CELLS)
-    return [Solution(x[b], s[b] > 0, value[b]) for b in range(len(starts))]
+    return [Solution(x[b], s[b] > 0, value[b]) for b in range(p)]
 
 
 def multistart_row_merge(

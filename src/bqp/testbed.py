@@ -409,13 +409,24 @@ def instance_label(instance: Instance) -> str:
     return f"bqp-{instance.m}x{instance.n}"
 
 
+def _parse_comment(line: str, lineno: int) -> tuple[str, str]:
+    """The (key, value) of a "# key=value" comment line."""
+    body = line[1:].strip()
+    if "=" not in body:
+        raise FormatError(f"malformed comment line {lineno}: expected key=value")
+    key, value = body.split("=", 1)
+    return key, value
+
+
 def write_instance(instance: Instance) -> str:
+    """Serialize an instance; refuses meta that would not read back as it is."""
     out = ["bqp 1"]
     for key in sorted(instance.meta):
         value = instance.meta[key]
-        if "\n" in key or "\n" in value or "=" in key:
+        line = f"# {key}={value}"
+        if line.splitlines() != [line] or _parse_comment(line, 0) != (key, value):
             raise ValueError(f"meta entry {key!r} not representable in the file format")
-        out.append(f"# {key}={value}")
+        out.append(line)
     out.extend(_content_lines(instance))
     return "\n".join(out) + "\n"
 
@@ -439,10 +450,7 @@ def read_instance(text: str) -> Instance:
     meta: dict[str, str] = {}
     pos = 1
     while pos < len(lines) and lines[pos].startswith("#"):
-        body = lines[pos][1:].strip()
-        if "=" not in body:
-            raise FormatError(f"malformed comment line {pos + 1}: expected key=value")
-        key, value = body.split("=", 1)
+        key, value = _parse_comment(lines[pos], pos + 1)
         meta[key] = value
         pos += 1
     rest = [ln for ln in lines[pos:] if ln.strip()]

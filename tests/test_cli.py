@@ -114,8 +114,12 @@ class TestSolve:
 class TestOversizedWeights:
     @pytest.mark.parametrize(
         "content",
-        ["1 1\n0\n0\n9223372036854775808\n", "2 1\n0 0\n0\n4611686018427387904\n4611686018427387904\n"],
-        ids=["token-beyond-int64", "mass-beyond-guard"],
+        [
+            "1 1\n0\n0\n9223372036854775808\n",
+            "2 1\n0 0\n0\n4611686018427387904\n4611686018427387904\n",
+            "1 1\n0\n0\n-9223372036854775808\n",
+        ],
+        ids=["token-beyond-int64", "mass-beyond-guard", "int64-minimum"],
     )
     def test_solve_reports_one_line_error(self, tmp_path, capsys, content):
         path = tmp_path / "big.bqp"
@@ -371,3 +375,11 @@ class TestBenchCommand:
         assert code == 0
         table = capsys.readouterr().out
         assert "Vex2" in table and "M(A)" in table
+
+    @pytest.mark.parametrize("budget", [["--iters", "500"], ["--time", "5"]])
+    def test_reference_with_a_budget_is_a_one_line_error(self, e1_file, capsys, budget):
+        # the reference sets every run's budget, so the given one would be dropped
+        args = ["bench", "--instances", str(e1_file), "--algs", "M(Vex1)", "--ref", "G", *budget]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--ref" in err and err.count("\n") == 1

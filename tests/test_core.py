@@ -48,6 +48,28 @@ class TestInstanceValidation:
         with pytest.raises(OverflowError):
             Instance([[big, big], [big, big]], [0, 0], [0, 0])
 
+    @pytest.mark.parametrize("where", ["Q", "c", "d"])
+    def test_rejects_int64_minimum(self, where):
+        # its int64 absolute value wraps to itself, a negative mass
+        low = np.iinfo(np.int64).min
+        arrays = {"Q": [[0]], "c": [0], "d": [0]}
+        arrays[where] = [[low]] if where == "Q" else [low]
+        with pytest.raises(OverflowError, match="64-bit"):
+            Instance(arrays["Q"], arrays["c"], arrays["d"])
+
+    @pytest.mark.parametrize("weight", [2**63, 2**64 - 1])
+    def test_rejects_unsigned_weights_beyond_int64(self, weight):
+        # a plain cast would wrap 2^64 - 1 to -1
+        for Q in ([[weight]], np.array([[weight]], dtype=np.uint64)):
+            with pytest.raises(OverflowError, match="64-bit"):
+                Instance(Q, [0], [0])
+        with pytest.raises(OverflowError, match="64-bit"):
+            Instance([[1]], np.array([weight], dtype=np.uint64), [0])
+
+    def test_accepts_unsigned_weights_within_int64(self):
+        inst = Instance(np.array([[7]], dtype=np.uint64), np.array([2**62], dtype=np.uint64), [0])
+        assert inst.Q.dtype == np.int64 and int(inst.c[0]) == 2**62
+
     def test_arrays_are_frozen(self, e1):
         with pytest.raises(ValueError):
             e1.Q[0, 0] = 99

@@ -317,8 +317,8 @@ class TestDefaultSourcePool:
             self.assert_matches_reference(random_instance(rng, *shape, lo=-5, hi=5), seed, 12)
 
     def test_several_blocks_and_windows_shorter_than_m(self):
-        # blocks of at most 16 members, so seven of 14 or 15, each scanning
-        # one row per member and step at first
+        # one block of 100 members, each scanning one row per step until
+        # the batch of live members fits more rows in _POOL_CELLS cells
         inst = bqp.generate_instance("random", 8, 1000, 5)
         cap = rowmerge._POOL_CELLS // inst.n
         assert 100 % cap and rowmerge._POOL_CELLS // (cap * inst.n) < inst.m
@@ -326,8 +326,8 @@ class TestDefaultSourcePool:
 
     @pytest.mark.parametrize("cells, p", [(100, 10), (300, 25)])
     def test_small_cell_budgets(self, pool_testbed, monkeypatch, cells, p):
-        # on 12x30, blocks of 2 or 3 and of 8 or 9 members, and windows of 1
-        # to 10 rows that wrap past row m-1 and run past the misses left
+        # on 12x30, one block of 10 or 25 members, and windows of 1 to 10
+        # rows that wrap past row m-1 and run past the misses left
         monkeypatch.setattr(rowmerge, "_POOL_CELLS", cells)
         for wide, _ in pool_testbed.values():
             self.assert_matches_reference(wide, 8, p)

@@ -371,6 +371,23 @@ class TestInstanceIO:
         inst = Instance([[1]], [0], [0], meta={"family": "random", "seed": "7", "note": "tiny"})
         assert bqp.read_instance(bqp.write_instance(inst)).meta == inst.meta
 
+    def test_meta_with_spaces_and_equals_inside_survives(self):
+        inst = Instance([[1]], [0], [0], meta={"a key": " x=y", "k": ""})
+        assert bqp.read_instance(bqp.write_instance(inst)).meta == inst.meta
+
+    @pytest.mark.parametrize(
+        "meta",
+        [{"k": "a\nb"}, {"k": "a\rb"}, {"k": "a\x85b"}, {"k\u2028": "v"}, {"k=": "v"},
+         {" k": "v"}, {"k": "v "}],
+        ids=["newline", "carriage-return", "nel", "line-separator", "equals-in-key",
+             "leading-space-key", "trailing-space-value"],
+    )
+    def test_meta_that_would_not_read_back_refused(self, meta):
+        # each of these wrote a file that the reader refused or read back
+        # with other meta
+        with pytest.raises(ValueError, match="not representable"):
+            bqp.write_instance(Instance([[1]], [0], [0], meta=meta))
+
 
 class TestSolutionIO:
     def test_round_trip(self, e1):

@@ -3,17 +3,20 @@
 Everything here recomputes objectives directly from the instance arrays
 with its own loops; none of it calls the package's search, enumeration
 or partitioning code, so a bug in a solver cannot hide inside its own
-certificate.  From the package it takes only the data types and the
-graph generator's constants and error type.  The two exceptions are
-`greedy_partition_levels`, a test-side driver of the package's own
-merger, which the literal partitioner below is checked against, and the
-descent drivers `reference_vnd_exhaustive`, `reference_vnd` and
-`reference_source_pool`: the package's earlier loops, which re-check
-each fixed point with one more round, kept verbatim over its own flip,
-portions and restriction steps, and checked against the one-round
-drivers and the lockstep source pool.  Their alternating step is
-`reference_alternating`, the package's one-start pass loop kept
-verbatim, which the lockstep alternating kernel is checked against.
+certificate.  From the package it takes only the data types, the random
+and greedy starts, and the graph generator's constants and error type.
+The two exceptions are `greedy_partition_levels`, a test-side driver of
+the package's own merger, which the literal partitioner below is checked
+against, and `reference_vnd`, whose restriction sweep runs the package's
+restriction step.  The descent drivers `reference_vnd_exhaustive`,
+`reference_vnd` and `reference_source_pool` are the package's earlier
+loops, which re-check each fixed point with one more round, checked
+against the one-round drivers and the lockstep source pool.  Their flip
+and portions steps are `reference_portions`, which scores one subset per
+step, and their alternating step is `reference_alternating`, the
+package's one-start pass loop kept verbatim, which the lockstep
+alternating kernel is checked against.  So `reference_source_pool`
+shares no search code with the package.
 """
 
 from itertools import combinations, product
@@ -27,8 +30,6 @@ from bqp import (
     RowPartition,
     RowState,
     Solution,
-    exhaustive_portions,
-    flip_search,
     greedy,
     random_solution,
 )
@@ -376,6 +377,12 @@ def reference_alternating(instance: Instance, solution: Solution) -> Solution:
     return Solution(st.x.copy(), y, st.cx + int(st.s @ y))
 
 
+def _finished(inst: Instance, x: np.ndarray) -> Solution:
+    """x with its closed-form optimal columns y = [s > 0] and value f(x, y(x))."""
+    s = inst.d + x.astype(np.int64) @ inst.Q
+    return Solution(x, (s > 0).astype(np.int8), _row_value(inst, x))
+
+
 def reference_vnd_exhaustive(instance: Instance, solution: Solution, k: int) -> Solution:
     """Alternate the alternating search and exhaustive portions until a
     round does not raise the objective (that last round changes nothing)."""
@@ -383,7 +390,7 @@ def reference_vnd_exhaustive(instance: Instance, solution: Solution, k: int) -> 
     while True:
         before = sol.objective
         sol = reference_alternating(instance, sol)
-        sol = exhaustive_portions(instance, sol, k)
+        sol = _finished(instance, reference_portions(instance, sol.x, k)[0])
         if sol.objective <= before:
             break
     return sol
@@ -401,7 +408,7 @@ def reference_vnd(instance: Instance, p_max: int, rng: np.random.Generator) -> S
     while lam:
         lam = False
         sol = reference_alternating(instance, sol)
-        improved_sol = flip_search(instance, sol)
+        improved_sol = _finished(instance, reference_portions(instance, sol.x, 1)[0])
         if improved_sol.objective > sol.objective:
             sol = improved_sol
             lam = True
