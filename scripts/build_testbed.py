@@ -16,10 +16,26 @@ from pathlib import Path
 import bqp
 
 
+def sizes(text: str) -> list[tuple[int, int]]:
+    """Comma-separated MxN sizes with positive M and N, as an argparse type."""
+    out = []
+    for tok in text.split(","):
+        try:
+            m, n = (int(v) for v in tok.split("x"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a size MxN, got {tok!r}") from None
+        if m < 1 or n < 1:
+            raise argparse.ArgumentTypeError(f"M and N must be positive, got {tok!r}")
+        out.append((m, n))
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="testbed")
-    parser.add_argument("--sizes", default="10x15,20x50", help="comma-separated MxN sizes")
+    parser.add_argument(
+        "--sizes", type=sizes, default="10x15,20x50", help="comma-separated MxN sizes"
+    )
     parser.add_argument("--seeds", type=int, default=3, help="seeds 0..N-1 per size")
     parser.add_argument(
         "--certify", action="store_true", help="also write exact optima for m <= 22"
@@ -28,11 +44,9 @@ def main() -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sizes = [tuple(int(v) for v in tok.split("x")) for tok in args.sizes.split(",")]
-
     count = 0
     # Family innermost: the graph families of one (size, seed) share one graph.
-    for m, n in sizes:
+    for m, n in args.sizes:
         for seed in range(args.seeds):
             for family in bqp.FAMILIES:
                 inst = bqp.generate_instance(family, m, n, seed=seed)

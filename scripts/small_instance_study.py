@@ -20,19 +20,38 @@ import numpy as np
 
 import bqp
 from bqp.cli import gap
+from bqp.exact import ENUMERATION_ROW_LIMIT
 from bqp.expr import needs_budget, needs_rng
+
+
+def size(text: str) -> tuple[int, int]:
+    """An MxN size small enough to enumerate, as an argparse type."""
+    try:
+        m, n = (int(v) for v in text.split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a size MxN, got {text!r}") from None
+    if not (1 <= m <= ENUMERATION_ROW_LIMIT and n >= 1):
+        raise argparse.ArgumentTypeError(
+            f"need 1 <= M <= {ENUMERATION_ROW_LIMIT} and N >= 1, got {text!r}"
+        )
+    return m, n
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--size", default="12x20", help="instance size as MxN (M <= 24)")
+    parser.add_argument(
+        "--size", type=size, default="12x20",
+        help=f"instance size as MxN (M <= {ENUMERATION_ROW_LIMIT})",
+    )
     parser.add_argument("--seeds", type=int, default=5)
     parser.add_argument("--algs", default="G,A(G),F(G),Vex1,M(Vex1)")
     parser.add_argument("--iters", type=int, default=100, help="budget for budgeted algorithms")
     parser.add_argument("--master-seed", type=int, default=0)
     args = parser.parse_args()
+    if args.seeds < 1 or args.iters < 1:
+        parser.error("--seeds and --iters must be at least 1")
 
-    m, n = (int(v) for v in args.size.split("x"))
+    m, n = args.size
     exprs = [bqp.parse_expr(tok) for tok in args.algs.split(",")]
     budget = bqp.Budget.iters(args.iters)
 

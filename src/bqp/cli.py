@@ -78,11 +78,12 @@ def bench(
     """Run every (instance, expression, repetition) cell and report gaps.
 
     With `ref_expr`, each instance first times one reference run and the
-    competitors get that wall-clock as their budget in place of `budget`
-    (the reference run is reported as its own rows).  Every run goes through `store.update`, in
-    row order (an in-memory store stands in when `store` is None), and the
-    gaps are computed against the store's best after the last run, so a
-    fresh store shows gap 0 for the best run rather than an undefined column.
+    competitors get that wall-clock as their budget, so `budget` must then
+    be None (the reference run is reported as its own rows).  Every run
+    goes through `store.update`, in row order (an in-memory store stands
+    in when `store` is None), and the gaps are computed against the
+    store's best after the last run, so a fresh store shows gap 0 for the
+    best run rather than an undefined column.
     """
     if not instances or not exprs:
         raise ValueError("bench needs at least one instance and one expression")
@@ -95,6 +96,11 @@ def bench(
             f" (the reference included) and {MAX_INSTANCES} instances; beyond that the per-run"
             " seeds collide"
         )
+    if ref_expr is not None:
+        if budget is not None:
+            raise ValueError("a timing reference sets every run's budget; pass no budget with it")
+        if needs_budget(ref_expr):
+            raise ValueError("the timing reference expression must be budget-free")
     if store is None:
         store = BestKnownStore()
     rows: list[BenchRow] = []
@@ -120,8 +126,6 @@ def bench(
     for ii, (label, inst) in enumerate(instances):
         inst_budget = budget
         if ref_expr is not None:
-            if needs_budget(ref_expr):
-                raise ValueError("the timing reference expression must be budget-free")
             seed = _cell_seed(master_seed, ii, len(exprs), 0)
             rng = np.random.default_rng(seed)
             t0 = time.perf_counter()

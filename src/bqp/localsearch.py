@@ -47,7 +47,8 @@ class Budget:
         if n is not None and (isinstance(n, bool) or not hasattr(n, "__index__") or index(n) < 1):
             raise ValueError(f"iterations must be an integer >= 1, got {n!r}")
         # a NaN or infinite deadline is never reached, so the run would not end
-        if s is not None and not (isinstance(s, Real) and isfinite(s) and s > 0):
+        finite = isinstance(s, Real) and not isinstance(s, bool) and isfinite(s) and s > 0
+        if s is not None and not finite:
             raise ValueError(f"seconds must be a finite number > 0, got {s!r}")
 
     @classmethod

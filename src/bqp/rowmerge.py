@@ -1,10 +1,14 @@
 """Row-merge reductions and the three heuristics built on them.
 
 Merging constrains every row in a cluster to share one x-value, which
-collapses the instance to one row per cluster by summation.  Cluster
-choice is driven by a co-occurrence graph over pooled solutions: the
-weight of a row pair counts how many solutions agree on it, a cluster is
-scored by its size times its lightest internal edge, and a greedy
+collapses the instance to one row per cluster by summation.  `R_k`,
+`Rm_k` and `Rls_k` share one step, `_lift`: solve the merged problem,
+expand it and set the columns in closed form.  `R_k` enumerates a greedy
+partition; `Rm_k` and `Rls_k` run greedy plus flip search on random
+partitions (for `Rls_k`, ones that never mix the incumbent's x-values).
+`R_k`'s clusters come from a co-occurrence graph over pooled solutions:
+the weight of a row pair counts how many solutions agree on it, a cluster
+is scored by its size times its lightest internal edge, and a greedy
 agglomerative pass maximizes the total score.  The greedy partitioner
 keeps every live pair's merge score in one dense m x m matrix; the test
 suite checks it against a literal recompute-everything version of the
@@ -16,12 +20,12 @@ and the test suite checks it against polishing them one at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .construct import greedy, random_solution
-from .core import Instance, RowState, Solution
+from .core import Instance, RowState, Solution, make_solution
 from .exact import enumerate_exact
 from .localsearch import (
     RESTRICTION_ROW_LIMIT, Budget, _lockstep_alternating, _lockstep_block, _lockstep_flips,
@@ -119,7 +123,7 @@ def cooccurrence(solutions: Sequence) -> CooccurrenceGraph:
 
 
 class _GreedyMerger:
-    """Dense-matrix agglomerative merging behind both greedy partitioners.
+    """Dense-matrix agglomerative merging behind `greedy_partition`.
 
     A live cluster is named by its smallest row.  `union_mu[a, b]` is the
     lightest internal edge of the union of clusters a and b, and the upper
@@ -203,8 +207,17 @@ def random_partition(m: int, k: int, rng: np.random.Generator) -> RowPartition:
 
 
 def _solve_merged_flip_greedy(reduced: Instance) -> Solution:
-    """Default heuristic for merged problems: greedy start plus flip search."""
+    """Heuristic for merged problems: greedy start plus flip search."""
     return flip_search(reduced, greedy(reduced))
+
+
+def _lift(
+    instance: Instance, partition: RowPartition, solve: Callable[[Instance], Solution]
+) -> Solution:
+    """Solve the merged problem with `solve` and lift its rows back to the
+    instance, with the closed-form optimal columns."""
+    sub = solve(merge_reduce(instance, partition))
+    return RowState(instance, partition.expand(sub.x)).solution()
 
 
 def _check_merge_k(instance: Instance, k: int) -> None:
@@ -219,17 +232,14 @@ def clustering_row_merge(instance: Instance, source_solutions: Sequence, k: int)
 
     Builds the co-occurrence graph of the sources, partitions it greedily
     into k clusters, enumerates the merged problem and lifts the optimum
-    back, then polishes with depth-1 exhaustive portions interleaved with
-    the alternating search.
+    back, then polishes with `vnd_exhaustive(·, 1)`: one alternating
+    search, then one depth-1 portions stage.
     """
     _check_merge_k(instance, k)
     graph = cooccurrence(source_solutions)
     if graph.m != instance.m:
         raise ValueError("source solutions do not match the instance row count")
-    partition = greedy_partition(graph, k)
-    reduced = merge_reduce(instance, partition)
-    sub = enumerate_exact(reduced)
-    sol = RowState(instance, partition.expand(sub.x)).solution()
+    sol = _lift(instance, greedy_partition(graph, k), enumerate_exact)
     return vnd_exhaustive(instance, sol, 1)
 
 
@@ -270,13 +280,9 @@ def multistart_row_merge(
     clock = budget.start()
     while clock.tick():
         partition = random_partition(instance.m, k, rng)
-        reduced = merge_reduce(instance, partition)
-        sub = _solve_merged_flip_greedy(reduced)
-        sol = flip_search(instance, RowState(instance, partition.expand(sub.x)).solution())
+        sol = flip_search(instance, _lift(instance, partition, _solve_merged_flip_greedy))
         if best is None or sol.objective > best.objective:
             best = sol
-    if best is None:
-        raise ValueError("budget allowed no iterations")
     return best
 
 
@@ -284,28 +290,16 @@ def _partition_respecting_x(x: np.ndarray, k: int, rng: np.random.Generator) -> 
     """Random k-partition whose clusters never mix x-values.
 
     Cluster counts split proportionally to the side sizes (at least one per
-    nonempty side), clamped so each side can fill its clusters.
+    nonempty side), clamped so each side can fill its clusters; an empty
+    side gets none, as the clamp to [k - n1, n0] comes last.
     """
     m = x.size
     zeros = np.flatnonzero(x == 0)
     ones = np.flatnonzero(x == 1)
     n0, n1 = zeros.size, ones.size
-    if n0 == 0:
-        k0, k1 = 0, k
-    elif n1 == 0:
-        k0, k1 = k, 0
-    else:
-        k0 = int(k * n0 / m + 0.5)
-        k0 = max(1, min(k0, k - 1))
-        k1 = k - k0
-        if k0 > n0:
-            k1 += k0 - n0
-            k0 = n0
-        if k1 > n1:
-            k0 += k1 - n1
-            k1 = n1
+    k0 = max(min(max(int(k * n0 / m + 0.5), 1), k - 1, n0), k - n1)
     clusters = []
-    for side, parts in ((zeros, k0), (ones, k1)):
+    for side, parts in ((zeros, k0), (ones, k - k0)):
         if parts == 0:
             continue
         clusters.extend(side[c] for c in random_partition(side.size, parts, rng).clusters)
@@ -324,18 +318,15 @@ def rowmerge_local_search(
     The incumbent is always feasible for its own partition, but the merged
     problem is solved heuristically, so every candidate is re-evaluated
     against the original instance and accepted only on strict improvement.
+    The start is re-evaluated too, so its cached objective is never trusted.
     """
     if not 2 <= k <= instance.m:
         raise ValueError(f"k must lie in [2, {instance.m}], got {k}")
-    if solution.x.shape != (instance.m,) or solution.y.shape != (instance.n,):
-        raise ValueError("solution does not match the instance shape")
-    best = solution.copy()
+    best = make_solution(instance, solution.x, solution.y)
     clock = budget.start()
     while clock.tick():
         partition = _partition_respecting_x(best.x, k, rng)
-        reduced = merge_reduce(instance, partition)
-        sub = _solve_merged_flip_greedy(reduced)
-        candidate = RowState(instance, partition.expand(sub.x)).solution()
+        candidate = _lift(instance, partition, _solve_merged_flip_greedy)
         if candidate.objective > best.objective:
             best = candidate
     return best

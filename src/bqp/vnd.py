@@ -104,6 +104,4 @@ def multi_start(
         iterations += 1
         if best is None or sol.objective > best.objective:
             best = sol
-    if best is None:
-        raise ValueError("budget allowed no iterations")
     return MultiStartRecord(iterations=iterations, best=best)

@@ -323,12 +323,25 @@ class TestBenchCommand:
             [bqp.parse_expr("T"), bqp.parse_expr("M(F)")],
             repetitions=2,
             master_seed=3,
-            budget=bqp.Budget.iters(2),
+            budget=bqp.Budget.iters(2) if ref is None else None,
             ref_expr=None if ref is None else bqp.parse_expr(ref),
             store=store,
         )
         assert len(rows) == 2 * (4 + (ref is not None))
         assert store.calls == [(r.alg, r.seed, r.objective) for r in rows]
+
+    @pytest.mark.parametrize(
+        "ref, budget, match",
+        [("G", bqp.Budget.iters(2), "no budget"), ("M(F)", None, "budget-free")],
+    )
+    def test_reference_refusals_come_before_any_run(self, e1, ref, budget, match):
+        store = bqp.BestKnownStore()
+        with pytest.raises(ValueError, match=match):
+            bench(
+                [("e1", e1)], [bqp.parse_expr("M(F)")], 1, 0,
+                budget=budget, ref_expr=bqp.parse_expr(ref), store=store,
+            )
+        assert store.best_objective(e1) is None
 
     def test_stale_objective_refused_without_a_store(self, e1, monkeypatch):
         def stale(instance, expr, budget=None, rng=None):

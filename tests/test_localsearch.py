@@ -47,7 +47,7 @@ class TestBudget:
         with pytest.raises(ValueError, match="iterations"):
             Budget.iters(n)
 
-    @pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf"), "1"])
+    @pytest.mark.parametrize("s", [float("nan"), float("inf"), float("-inf"), "1", True])
     def test_seconds_must_be_finite_and_positive(self, s):
         with pytest.raises(ValueError, match="seconds"):
             Budget.of_seconds(s)

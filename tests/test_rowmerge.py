@@ -15,6 +15,7 @@ from verifiers import (
     mu_scratch,
     naive_objective,
     partition_weight,
+    reference_side_split,
     reference_source_pool,
 )
 
@@ -316,13 +317,13 @@ class TestDefaultSourcePool:
         for seed in range(10):
             self.assert_matches_reference(random_instance(rng, *shape, lo=-5, hi=5), seed, 12)
 
-    def test_several_blocks_and_windows_shorter_than_m(self):
-        # one block of 100 members, each scanning one row per step until
-        # the batch of live members fits more rows in _POOL_CELLS cells
+    def test_one_block_of_100_whose_windows_start_at_one_row(self):
+        # at 8x1000 the 100 live members scan one row per step, until few
+        # enough are live for the window of _lockstep_flips to widen
         inst = bqp.generate_instance("random", 8, 1000, 5)
-        cap = rowmerge._POOL_CELLS // inst.n
-        assert 100 % cap and rowmerge._POOL_CELLS // (cap * inst.n) < inst.m
-        self.assert_matches_reference(inst, 7, 100)
+        live = 100
+        assert max(1, rowmerge._POOL_CELLS // (live * inst.n)) == 1
+        self.assert_matches_reference(inst, 7, live)
 
     @pytest.mark.parametrize("cells, p", [(100, 10), (300, 25)])
     def test_small_cell_budgets(self, pool_testbed, monkeypatch, cells, p):
@@ -384,6 +385,36 @@ class TestRowMergeLocalSearch:
                 sides.add(values.pop())
             # every nonempty side received at least one cluster
             assert sides == set(np.unique(x).tolist())
+
+    def test_side_split_matches_the_four_branch_reference(self):
+        from bqp.rowmerge import _partition_respecting_x
+
+        rng = np.random.default_rng(68)
+        cases = []
+        for m in range(2, 41):
+            cases += [(np.zeros(m, np.int8), k) for k in range(2, m + 1)]
+            cases += [(np.ones(m, np.int8), k) for k in range(2, m + 1)]
+            for _ in range(20):
+                x = (rng.random(m) < rng.random()).astype(np.int8)
+                cases.append((x, int(rng.integers(2, m + 1))))
+        for x, k in cases:
+            part = _partition_respecting_x(x, k, rng)
+            zero_side = sum(int(x[cluster[0]] == 0) for cluster in part.clusters)
+            n0 = int((x == 0).sum())
+            assert (zero_side, part.k - zero_side) == reference_side_split(n0, x.size - n0, k)
+
+    def test_start_objective_is_re_evaluated(self):
+        inst = bqp.generate_instance("random", 12, 30, 1)
+        start = bqp.greedy(inst)
+        stale = bqp.Solution(start.x, start.y, start.objective + 10**6)
+        sol = bqp.rowmerge_local_search(inst, stale, 3, Budget.iters(5), np.random.default_rng(0))
+        assert sol.objective == bqp.evaluate(inst, sol.x, sol.y)
+        assert sol.objective >= start.objective
+
+    def test_start_holding_a_non_bit_is_refused_by_name(self, e1):
+        bad = bqp.Solution([2, 0], [0, 0], 0)
+        with pytest.raises(ValueError, match="x must be 0/1"):
+            bqp.rowmerge_local_search(e1, bad, 2, Budget.iters(1), np.random.default_rng(0))
 
     def test_never_accepts_on_solved_instance(self):
         inst = Instance([[-1, -2], [-3, 0]], [0, -1], [-1, 0])

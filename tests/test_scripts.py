@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bqp
+from bqp.exact import ENUMERATION_ROW_LIMIT
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,3 +50,20 @@ def test_build_testbed_with_certificates(tmp_path):
                 inst = bqp.read_instance(text)
                 _, _, sol = bqp.read_solution((out / f"{stem}.bqpsol").read_text(), inst)
                 assert sol.objective == bqp.enumerate_exact(inst).objective
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("small_instance_study.py", ["--size", "12"]),
+        ("small_instance_study.py", ["--size", f"{ENUMERATION_ROW_LIMIT + 1}x4"]),
+        ("small_instance_study.py", ["--size", "6x8", "--seeds", "0"]),
+        ("build_testbed.py", ["--sizes", "4"]),
+        ("build_testbed.py", ["--sizes", "6x8,0x3"]),
+    ],
+)
+def test_bad_arguments_exit_with_a_usage_error(tmp_path, name, args):
+    proc = run_script(name, *args, cwd=tmp_path)
+    assert proc.returncode != 0
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []  # refused before anything is written

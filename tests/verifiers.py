@@ -330,6 +330,27 @@ def partition_weight(graph: CooccurrenceGraph, partition: RowPartition) -> int:
     return sum(int(c.size) * mu_scratch(graph, c) for c in partition.clusters)
 
 
+def reference_side_split(n0: int, n1: int, k: int) -> tuple[int, int]:
+    """Clusters for the x = 0 and x = 1 sides of a k-partition that never
+    mixes x-values: the package's earlier four-branch split, kept verbatim."""
+    m = n0 + n1
+    if n0 == 0:
+        k0, k1 = 0, k
+    elif n1 == 0:
+        k0, k1 = k, 0
+    else:
+        k0 = int(k * n0 / m + 0.5)
+        k0 = max(1, min(k0, k - 1))
+        k1 = k - k0
+        if k0 > n0:
+            k1 += k0 - n0
+            k0 = n0
+        if k1 > n1:
+            k0 += k1 - n1
+            k1 = n1
+    return k0, k1
+
+
 def greedy_partition_levels(graph: CooccurrenceGraph, k_min: int = 1) -> dict[int, RowPartition]:
     """Partitions for every cluster count from m down to k_min, from one
     run of the package's merger (the greedy hierarchy is nested)."""
