@@ -41,6 +41,8 @@ def main() -> int:
         "--certify", action="store_true", help="also write exact optima for m <= 22"
     )
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -21,7 +21,7 @@ import numpy as np
 import bqp
 from bqp.cli import gap
 from bqp.exact import ENUMERATION_ROW_LIMIT
-from bqp.expr import needs_budget, needs_rng
+from bqp.expr import needs_rng
 
 
 def size(text: str) -> tuple[int, int]:
@@ -37,6 +37,17 @@ def size(text: str) -> tuple[int, int]:
     return m, n
 
 
+def expressions(text: str) -> list[bqp.AlgorithmExpr]:
+    """Comma-separated algorithm expressions, empty tokens skipped, as an argparse type."""
+    try:
+        exprs = [bqp.parse_expr(tok) for tok in text.split(",") if tok]
+    except bqp.ExprError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not exprs:
+        raise argparse.ArgumentTypeError("no algorithm expressions given")
+    return exprs
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -44,7 +55,10 @@ def main() -> int:
         help=f"instance size as MxN (M <= {ENUMERATION_ROW_LIMIT})",
     )
     parser.add_argument("--seeds", type=int, default=5)
-    parser.add_argument("--algs", default="G,A(G),F(G),Vex1,M(Vex1)")
+    parser.add_argument(
+        "--algs", type=expressions, default="G,A(G),F(G),Vex1,M(Vex1)",
+        help="comma-separated algorithm expressions",
+    )
     parser.add_argument("--iters", type=int, default=100, help="budget for budgeted algorithms")
     parser.add_argument("--master-seed", type=int, default=0)
     args = parser.parse_args()
@@ -52,7 +66,6 @@ def main() -> int:
         parser.error("--seeds and --iters must be at least 1")
 
     m, n = args.size
-    exprs = [bqp.parse_expr(tok) for tok in args.algs.split(",")]
     budget = bqp.Budget.iters(args.iters)
 
     gaps = defaultdict(list)
@@ -62,16 +75,17 @@ def main() -> int:
         for family in bqp.FAMILIES:
             inst = bqp.generate_instance(family, m, n, seed=seed)
             optimum = bqp.enumerate_exact(inst).objective
-            for expr in exprs:
+            for expr in args.algs:
                 rng = (
                     np.random.default_rng([args.master_seed, seed])
                     if needs_rng(expr)
                     else None
                 )
                 t0 = time.perf_counter()
-                sol = bqp.run_expr(
-                    inst, expr, budget=budget if needs_budget(expr) else None, rng=rng
-                )
+                try:
+                    sol = bqp.run_expr(inst, expr, budget=budget, rng=rng)
+                except ValueError as exc:  # e.g. a subscript too large for --size
+                    parser.error(f"{bqp.render_expr(expr)}: {exc}")
                 times[(family, bqp.render_expr(expr))].append(time.perf_counter() - t0)
                 g = gap(sol.objective, optimum)
                 if g is not None:
@@ -81,7 +95,7 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     for family in bqp.FAMILIES:
-        for expr in exprs:
+        for expr in args.algs:
             key = (family, bqp.render_expr(expr))
             gs, ts = gaps[key], times[key]
             mean_gap = f"{sum(gs) / len(gs):.2f}" if gs else "undef"

@@ -14,7 +14,9 @@ import numpy as np
 from .construct import greedy
 from .core import Instance
 from .exact import enumerate_exact, export_lp, export_qubo
-from .expr import AlgorithmExpr, needs_budget, needs_rng, parse_expr, render_expr, run_expr
+from .expr import (
+    AlgorithmExpr, ExprError, needs_budget, needs_rng, parse_expr, render_expr, run_expr,
+)
 from .localsearch import Budget, alternating
 from .store import BestKnownStore
 from .testbed import (
@@ -80,10 +82,12 @@ def bench(
     With `ref_expr`, each instance first times one reference run and the
     competitors get that wall-clock as their budget, so `budget` must then
     be None (the reference run is reported as its own rows).  Every run
-    goes through `store.update`, in row order (an in-memory store stands
-    in when `store` is None), and the gaps are computed against the
-    store's best after the last run, so a fresh store shows gap 0 for the
-    best run rather than an undefined column.
+    gets the budget, which a budget-free expression ignores; a budgeted
+    expression with neither a budget nor a reference is refused before
+    any run.  Every run goes through `store.update`, in row order (an
+    in-memory store stands in when `store` is None), and the gaps are
+    computed against the store's best after the last run, so a fresh
+    store shows gap 0 for the best run rather than an undefined column.
     """
     if not instances or not exprs:
         raise ValueError("bench needs at least one instance and one expression")
@@ -101,6 +105,10 @@ def bench(
             raise ValueError("a timing reference sets every run's budget; pass no budget with it")
         if needs_budget(ref_expr):
             raise ValueError("the timing reference expression must be budget-free")
+    elif budget is None:
+        for expr in exprs:
+            if needs_budget(expr):
+                raise ExprError(f"{render_expr(expr)} needs a budget or a timing reference")
     if store is None:
         store = BestKnownStore()
     rows: list[BenchRow] = []
@@ -137,9 +145,8 @@ def bench(
             for rep in range(repetitions):
                 seed = _cell_seed(master_seed, ii, ai, rep)
                 rng = np.random.default_rng(seed)
-                run_budget = inst_budget if needs_budget(expr) else None
                 t0 = time.perf_counter()
-                sol = run_expr(inst, expr, budget=run_budget, rng=rng)
+                sol = run_expr(inst, expr, budget=inst_budget, rng=rng)
                 elapsed = time.perf_counter() - t0
                 record(label, inst, render_expr(expr), seed, sol, elapsed * 1000.0)
 
@@ -269,14 +276,10 @@ def cmd_exact(args) -> int:
 def cmd_bench(args) -> int:
     instances = [(Path(p).stem, _load_instance(p)) for p in args.instances]
     exprs = [parse_expr(token) for token in args.algs.split(",") if token]
-    if not exprs:
-        raise ValueError("no algorithm expressions given")
     budget = _budget_from_args(args)
     ref = parse_expr(args.ref) if args.ref else None
     if ref is not None and budget is not None:
         raise ValueError("--ref sets the budget of every run; give no --iters or --time with it")
-    if ref is None and budget is None and any(needs_budget(e) for e in exprs):
-        raise ValueError("budgeted expressions need --iters, --time or --ref")
     store = BestKnownStore(args.store) if args.store else None
     rows = bench(
         instances,
@@ -338,7 +341,7 @@ def cmd_verify(args) -> int:
                 print(f"OK   store has no record for {instance_label(inst)}")
             else:
                 print(f"OK   store best {rec.objective} ({rec.algorithm})")
-        except CertificateError as exc:
+        except (CertificateError, ValueError) as exc:
             print(f"FAIL store: {exc}")
             failures += 1
     return 1 if failures else 0

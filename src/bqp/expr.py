@@ -109,7 +109,8 @@ def run_expr(
     `start` overrides the default greedy start of an improvement node with
     no inner expression; multi-start uses it to feed each random solution
     into its inner pipeline.  The budget applies to the outermost budgeted
-    node; nesting two budgeted nodes is rejected as ambiguous.
+    node; nesting two budgeted nodes is rejected as ambiguous.  A
+    budget-free expression ignores the budget.
     """
     if needs_rng(expr) and rng is None:
         raise ExprError(f"{render_expr(expr)} needs a random generator (seed)")

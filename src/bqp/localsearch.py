@@ -31,10 +31,13 @@ RESTRICTION_ROW_LIMIT = 20  # restricted problems are solved by 2^k enumeration
 
 @dataclass(frozen=True)
 class Budget:
-    """Iteration-count or wall-clock stopping rule.
+    """Iteration-count or wall-clock stopping rule, used as `for _ in budget`.
 
-    Wall-clock budgets are checked at iteration boundaries only, so a slow
-    iteration may overrun the limit but is never interrupted.
+    Iterating yields the iteration numbers 1, 2, ... and always yields the
+    first.  A wall-clock budget sets its deadline when iteration starts and
+    reads the clock only before each later iteration, so a slow iteration
+    may overrun the limit but is never interrupted.  Each iteration over
+    a budget starts afresh, so one budget may serve many runs.
     """
 
     iterations: int | None = None
@@ -59,24 +62,15 @@ class Budget:
     def of_seconds(cls, s: float) -> "Budget":
         return cls(seconds=s)
 
-    def start(self) -> "_Clock":
-        return _Clock(self)
-
-
-class _Clock:
-    def __init__(self, budget: Budget):
-        self.budget = budget
-        self.count = 0
-        self.deadline = None if budget.seconds is None else time.monotonic() + budget.seconds
-
-    def tick(self) -> bool:
-        """True if another iteration may run; the first always may."""
-        if self.budget.iterations is not None and self.count >= self.budget.iterations:
-            return False
-        if self.deadline is not None and self.count > 0 and time.monotonic() >= self.deadline:
-            return False
-        self.count += 1
-        return True
+    def __iter__(self):
+        if self.iterations is not None:
+            yield from range(1, self.iterations + 1)
+            return
+        deadline = time.monotonic() + self.seconds
+        done = 0
+        while not done or time.monotonic() < deadline:
+            done += 1
+            yield done
 
 
 def flip_search(instance: Instance, solution: Solution) -> Solution:
@@ -210,8 +204,7 @@ def random_portions(
             f"k must lie in [2, {min(instance.m, RESTRICTION_ROW_LIMIT)}], got {k}"
         )
     st = RowState(instance, solution.x)
-    clock = budget.start()
-    while clock.tick():
+    for _ in budget:
         free = np.sort(rng.permutation(instance.m)[:k])
         _, bits = _solve_restriction(st, free)
         st.set_rows(free, bits.astype(np.int8))

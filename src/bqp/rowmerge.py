@@ -20,6 +20,7 @@ and the test suite checks it against polishing them one at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -273,17 +274,16 @@ def multistart_row_merge(
     rng: np.random.Generator,
 ) -> Solution:
     """Repeatedly merge a random row partition, solve heuristically, expand
-    and polish with flip search, keeping the best solution found."""
+    and polish with flip search, keeping the best solution found (the first
+    of equal ones)."""
     if not 1 <= k <= instance.m:
         raise ValueError(f"k must lie in [1, {instance.m}], got {k}")
-    best: Solution | None = None
-    clock = budget.start()
-    while clock.tick():
-        partition = random_partition(instance.m, k, rng)
-        sol = flip_search(instance, _lift(instance, partition, _solve_merged_flip_greedy))
-        if best is None or sol.objective > best.objective:
-            best = sol
-    return best
+    merged = (
+        _lift(instance, random_partition(instance.m, k, rng), _solve_merged_flip_greedy)
+        for _ in budget
+    )
+    trials = (flip_search(instance, sol) for sol in merged)
+    return max(trials, key=attrgetter("objective"))
 
 
 def _partition_respecting_x(x: np.ndarray, k: int, rng: np.random.Generator) -> RowPartition:
@@ -323,8 +323,7 @@ def rowmerge_local_search(
     if not 2 <= k <= instance.m:
         raise ValueError(f"k must lie in [2, {instance.m}], got {k}")
     best = make_solution(instance, solution.x, solution.y)
-    clock = budget.start()
-    while clock.tick():
+    for _ in budget:
         partition = _partition_respecting_x(best.x, k, rng)
         candidate = _lift(instance, partition, _solve_merged_flip_greedy)
         if candidate.objective > best.objective:

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import fcntl
 import json
+import re
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .core import Instance, Solution, evaluate
 from .testbed import CertificateError, FormatError, instance_digest, instance_label
+
+_BITS = re.compile(r"[01]+")
 
 
 @dataclass
@@ -38,12 +41,18 @@ class BestRecord:
     def from_json(cls, line: str | bytes) -> "BestRecord":
         try:
             raw = json.loads(line)
+            objective, x, y = raw["objective"], raw["x"], raw["y"]
+            if type(objective) is not int:
+                raise TypeError(f"objective must be an integer, got {objective!r}")
+            for name, bits in (("x", x), ("y", y)):
+                if not (isinstance(bits, str) and _BITS.fullmatch(bits)):
+                    raise ValueError(f"{name} must be a string of 0s and 1s, got {bits!r}")
             return cls(
                 digest=raw["digest"],
                 label=raw["label"],
-                objective=int(raw["objective"]),
-                x=raw["x"],
-                y=raw["y"],
+                objective=objective,
+                x=x,
+                y=y,
                 algorithm=raw.get("algorithm", ""),
                 seed=raw.get("seed"),
                 timestamp=float(raw.get("timestamp", 0.0)),

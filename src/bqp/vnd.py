@@ -94,14 +94,11 @@ def multi_start(
     reproducible and the iterations could be evaluated concurrently with
     the same result.
     """
-    clock = budget.start()
     best: Solution | None = None
-    iterations = 0
-    while clock.tick():
+    for iterations in budget:
         child = rng.spawn(1)[0]
         sol = random_solution(instance, 0.5, child)
         sol = inner(instance, sol, child)
-        iterations += 1
         if best is None or sol.objective > best.objective:
             best = sol
     return MultiStartRecord(iterations=iterations, best=best)

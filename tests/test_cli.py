@@ -1,4 +1,5 @@
 import csv
+import json
 
 import pytest
 
@@ -180,6 +181,15 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and ":1: malformed store record" in err
         assert err.count("\n") == 1
 
+    def test_store_record_of_the_wrong_length_is_a_fail_line(self, e1_file, tmp_path, e1, capsys):
+        store_path = tmp_path / "best.jsonl"
+        bqp.BestKnownStore(store_path).update(e1, bqp.greedy(e1))
+        record = json.loads(store_path.read_text())
+        store_path.write_text(json.dumps({**record, "x": "1010"}) + "\n")  # e1 has 2 rows
+        assert main(["verify", str(e1_file), "--store", str(store_path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL store: ") and "length 2" in out
+
     def test_torn_store_line_is_noted(self, e1_file, tmp_path, e1, capsys):
         store_path = tmp_path / "best.jsonl"
         bqp.BestKnownStore(store_path).update(e1, bqp.greedy(e1))
@@ -341,6 +351,12 @@ class TestBenchCommand:
                 [("e1", e1)], [bqp.parse_expr("M(F)")], 1, 0,
                 budget=budget, ref_expr=bqp.parse_expr(ref), store=store,
             )
+        assert store.best_objective(e1) is None
+
+    def test_budgeted_expression_without_a_budget_is_refused_before_any_run(self, e1):
+        store = bqp.BestKnownStore()
+        with pytest.raises(bqp.ExprError, match="P4 needs a budget"):
+            bench([("e1", e1)], [bqp.parse_expr("G"), bqp.parse_expr("P4")], 1, 0, store=store)
         assert store.best_objective(e1) is None
 
     def test_stale_objective_refused_without_a_store(self, e1, monkeypatch):

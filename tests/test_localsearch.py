@@ -53,17 +53,60 @@ class TestBudget:
             Budget.of_seconds(s)
 
     def test_integer_likes_accepted(self):
-        clock = Budget.iters(np.int64(2)).start()
-        assert [clock.tick() for _ in range(3)] == [True, True, False]
+        assert list(Budget.iters(np.int64(2))) == [1, 2]
         assert Budget.of_seconds(np.float64(0.5)).seconds == 0.5
 
     def test_iteration_count(self):
-        clock = Budget.iters(3).start()
-        assert [clock.tick() for _ in range(5)] == [True, True, True, False, False]
+        budget = Budget.iters(3)
+        counts = iter(budget)
+        assert list(counts) == [1, 2, 3]
+        assert next(counts, None) is None  # stays exhausted
+        assert list(budget) == [1, 2, 3]  # each iteration over a budget starts afresh
 
     def test_time_budget_checks_at_boundaries(self):
-        clock = Budget.of_seconds(30.0).start()
-        assert clock.tick()  # deadline far away
+        assert next(iter(Budget.of_seconds(30.0))) == 1  # deadline far away
+
+    @pytest.mark.parametrize(
+        "step, runs",
+        [(100.0, 1), (4.0, 3), (5.0, 2)],
+        ids=["first-outlasts-deadline", "before-deadline", "at-deadline"],
+    )
+    def test_time_budget_ends_at_the_first_boundary_past_its_deadline(
+        self, monkeypatch, step, runs
+    ):
+        clock = _FakeClock()
+        monkeypatch.setattr(bqp.localsearch, "time", clock)
+        reads_at_start = []
+        for i in Budget.of_seconds(10.0):  # the deadline is read as 0 + 10
+            reads_at_start.append(clock.reads)
+            clock.now += step  # the iteration's own time
+        # one read sets the deadline and one more precedes each later
+        # iteration, so an iteration reads nothing while it runs
+        assert reads_at_start == list(range(1, runs + 1))
+        assert i == runs and clock.reads == runs + 1
+
+    def test_multi_start_stops_on_the_clock(self, e1, monkeypatch):
+        clock = _FakeClock()
+        monkeypatch.setattr(bqp.localsearch, "time", clock)
+
+        def inner(inst, sol, rng):
+            clock.now += 4.0
+            return sol
+
+        record = bqp.multi_start(e1, inner, Budget.of_seconds(10.0), np.random.default_rng(0))
+        assert record.iterations == 3
+
+
+class _FakeClock:
+    """Stands in for the `time` module: `monotonic` reads `now` and counts reads."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.reads = 0
+
+    def monotonic(self) -> float:
+        self.reads += 1
+        return self.now
 
 
 class TestAlternating:

@@ -352,6 +352,20 @@ class TestMultistartRowMerge:
         long = bqp.multistart_row_merge(inst, 3, Budget.iters(20), np.random.default_rng(8))
         assert long.objective >= short.objective
 
+    def test_ties_keep_the_first_trial(self, monkeypatch):
+        inst = Instance([[0] * 3] * 4, [0] * 4, [0] * 3)  # every solution scores 0
+        trials = []
+
+        def distinct(instance, solution):
+            if instance is not inst:  # the merged problem's own search
+                return solution
+            trials.append(bqp.Solution(np.eye(4, dtype=np.int8)[len(trials)], solution.y, 0))
+            return trials[-1]
+
+        monkeypatch.setattr(rowmerge, "flip_search", distinct)
+        best = bqp.multistart_row_merge(inst, 2, Budget.iters(4), np.random.default_rng(0))
+        assert len(trials) == 4 and best is trials[0]
+
     def test_beats_greedy_baseline_on_seeded_trials(self):
         rng = np.random.default_rng(64)
         wins = 0

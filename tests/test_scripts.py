@@ -33,6 +33,15 @@ def test_small_instance_study(tmp_path):
     assert rows == [[family, alg] for family in bqp.FAMILIES for alg in algs]
 
 
+def test_small_instance_study_skips_empty_expressions(tmp_path):
+    proc = run_script(
+        "small_instance_study.py", "--size", "6x8", "--seeds", "1", "--algs", "G,,A", cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [row.split()[:2] for row in proc.stdout.splitlines()[2:]]
+    assert rows == [[family, alg] for family in bqp.FAMILIES for alg in ("G", "A")]
+
+
 def test_build_testbed_with_certificates(tmp_path):
     out = tmp_path / "testbed"
     proc = run_script(
@@ -58,6 +67,11 @@ def test_build_testbed_with_certificates(tmp_path):
         ("small_instance_study.py", ["--size", "12"]),
         ("small_instance_study.py", ["--size", f"{ENUMERATION_ROW_LIMIT + 1}x4"]),
         ("small_instance_study.py", ["--size", "6x8", "--seeds", "0"]),
+        ("small_instance_study.py", ["--size", "6x8", "--algs", "G,X"]),
+        ("small_instance_study.py", ["--size", "6x8", "--algs", ","]),
+        ("small_instance_study.py", ["--size", "4x5", "--seeds", "1", "--algs", "Rls1"]),
+        ("small_instance_study.py", ["--size", "1x5", "--seeds", "1", "--algs", "P2"]),
+        ("build_testbed.py", ["--seeds", "-2"]),
         ("build_testbed.py", ["--sizes", "4"]),
         ("build_testbed.py", ["--sizes", "6x8,0x3"]),
     ],

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,19 @@ class TestBestKnownStore:
             ' "objective": -7, "seed": null, "timestamp": 1.5, "x": "01", "y": "110"}'
         )
         assert BestRecord.from_json(record.to_json()) == record
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("objective", 1.9), ("objective", True), ("objective", "2"), ("x", "12"),
+         ("x", ""), ("y", 110), ("y", None)],
+    )
+    def test_field_of_the_wrong_kind_is_refused(self, field, value):
+        good = json.loads(BestRecord(
+            digest="ab12", label="random-2x3-s0", objective=-7, x="01", y="110",
+            algorithm="G", seed=None, timestamp=1.5,
+        ).to_json())
+        with pytest.raises(FormatError, match=f"{field} must be"):
+            BestRecord.from_json(json.dumps({**good, field: value}))
 
     def test_in_memory_store(self, e1):
         store = BestKnownStore(None)

@@ -5,18 +5,19 @@ with its own loops; none of it calls the package's search, enumeration
 or partitioning code, so a bug in a solver cannot hide inside its own
 certificate.  From the package it takes only the data types, the random
 and greedy starts, and the graph generator's constants and error type.
-The two exceptions are `greedy_partition_levels`, a test-side driver of
+The one exception is `greedy_partition_levels`, a test-side driver of
 the package's own merger, which the literal partitioner below is checked
-against, and `reference_vnd`, whose restriction sweep runs the package's
-restriction step.  The descent drivers `reference_vnd_exhaustive`,
+against.  The descent drivers `reference_vnd_exhaustive`,
 `reference_vnd` and `reference_source_pool` are the package's earlier
 loops, which re-check each fixed point with one more round, checked
 against the one-round drivers and the lockstep source pool.  Their flip
 and portions steps are `reference_portions`, which scores one subset per
-step, and their alternating step is `reference_alternating`, the
-package's one-start pass loop kept verbatim, which the lockstep
-alternating kernel is checked against.  So `reference_source_pool`
-shares no search code with the package.
+step, their alternating step is `reference_alternating`, the package's
+one-start pass loop kept verbatim, which the lockstep alternating kernel
+is checked against, and `reference_vnd`'s restriction step is
+`reference_restriction`, which rebuilds the reduced instance and solves
+it with `reference_enumerate_exact`.  So none of the three shares search
+code with the package.
 """
 
 from itertools import combinations, product
@@ -33,7 +34,7 @@ from bqp import (
     greedy,
     random_solution,
 )
-from bqp.localsearch import RESTRICTION_ROW_LIMIT, _solve_restriction
+from bqp.localsearch import RESTRICTION_ROW_LIMIT
 from bqp.rowmerge import _GreedyMerger
 from bqp.testbed import DEGREE_RESAMPLE_FACTOR, BipartiteGraphSpec, GenerationError
 
@@ -434,19 +435,30 @@ def reference_vnd(instance: Instance, p_max: int, rng: np.random.Generator) -> S
             sol = improved_sol
             lam = True
             continue
-        sol = improved_sol
-        st = RowState(instance, sol.x)
+        x = improved_sol.x.copy()
+        value = improved_sol.objective
         for k in range(2, min(p_max, m) + 1):
             for ell in range(m):
                 others = rng.permutation(m - 1)[: k - 1]
                 others = others + (others >= ell)  # skip ell, keep uniformity
                 free = np.sort(np.append(others, ell))
-                total, bits = _solve_restriction(st, free)
-                if total > st.value:
-                    st.set_rows(free, bits.astype(np.int8))
+                candidate = x.copy()
+                candidate[free] = reference_restriction(instance, x, free)
+                v = _row_value(instance, candidate)
+                if v > value:
+                    x, value = candidate, v
                     lam = True
-        sol = st.solution()
+        sol = _finished(instance, x)
     return sol
+
+
+def reference_restriction(inst: Instance, x: np.ndarray, free: np.ndarray) -> list[int]:
+    """Optimal bits for the `free` rows with every other row held at x:
+    the reduced instance keeps the free rows of Q and c, folds the held
+    rows set in x into d, and is solved by `reference_enumerate_exact`."""
+    held = np.setdiff1d(np.arange(inst.m), free)
+    d = inst.d + x[held].astype(np.int64) @ inst.Q[held]
+    return reference_enumerate_exact(Instance(inst.Q[free], inst.c[free], d)).x.tolist()
 
 
 def reference_source_pool(inst: Instance, rng: np.random.Generator, p: int = 100) -> list[Solution]:
