@@ -67,13 +67,13 @@ def test_build_testbed_with_certificates(tmp_path):
         ("small_instance_study.py", ["--size", "12"]),
         ("small_instance_study.py", ["--size", f"{ENUMERATION_ROW_LIMIT + 1}x4"]),
         ("small_instance_study.py", ["--size", "6x8", "--seeds", "0"]),
+        ("build_testbed.py", ["--sizes", "4"]),
+        ("build_testbed.py", ["--sizes", "6x8,0x3"]),
         ("small_instance_study.py", ["--size", "6x8", "--algs", "G,X"]),
         ("small_instance_study.py", ["--size", "6x8", "--algs", ","]),
         ("small_instance_study.py", ["--size", "4x5", "--seeds", "1", "--algs", "Rls1"]),
         ("small_instance_study.py", ["--size", "1x5", "--seeds", "1", "--algs", "P2"]),
         ("build_testbed.py", ["--seeds", "-2"]),
-        ("build_testbed.py", ["--sizes", "4"]),
-        ("build_testbed.py", ["--sizes", "6x8,0x3"]),
     ],
 )
 def test_bad_arguments_exit_with_a_usage_error(tmp_path, name, args):
